@@ -1,24 +1,19 @@
-"""E22 — ladder sharding: executor backends, substrates, rung-skip filtering.
+"""E22 — ladder sharding: substrates and rung-skip filtering.
 
 The ladder's rungs are independent (that independence *is* Theorems
-1.1/1.2's parallelism), so rung sweeps route through a pluggable executor
-(docs/PERFORMANCE.md).  This experiment drives a skewed stream — a planted
-dense block that saturates the low rungs plus a sparse periphery that
-leaves the tall rungs untouched — through six configurations:
+1.1/1.2's parallelism), so every rung sweep runs as one cost-model
+parallel region and the Brent bound projects its W/D parallelism
+(docs/PERFORMANCE.md).  This experiment drives a skewed stream — a
+planted dense block that saturates the low rungs plus a sparse periphery
+that leaves the tall rungs untouched — through three configurations:
 
-* **serial** — the default backend on the treap substrate; the baseline.
-* **process x2** — real process parallelism with merged worker deltas;
-  the delta-merge contract makes its work/depth/counters *bit-identical*
-  to serial (asserted below), so the win is wall-clock + the Brent bound.
+* **serial** — the default configuration on the treap substrate; the
+  baseline.
 * **flat** — the contiguous-slab substrate; a pure wall-clock knob whose
   accounting and answers are asserted bit-identical to serial.
-* **flat + shm x2** — the flat substrate under the resident-state
-  executor: rung state is seeded into persistent workers once over
-  shared memory and every later batch ships only ops + scalar deltas.
 * **skip** — rung-skip filtering; tall rungs whose hint sits above the
   degree bound defer updates, cutting *model work* without changing any
   answer (asserted below).
-* **process x2 + skip** — both classic knobs.
 
 Absolute wall-clock numbers are hardware-noisy; the reproduction targets
 are the invariants (bit-identity, answer-preservation) and the work/skip
@@ -31,7 +26,6 @@ from __future__ import annotations
 
 import os
 
-from repro.config import ExecConfig
 from repro.core import CorenessDecomposition, DensityEstimator
 from repro.graphs import generators as gen, streams
 from repro.instrument import (
@@ -60,13 +54,7 @@ def _trace():
     return streams.insert_then_delete(edges, BATCH, seed=22)
 
 
-def measure(
-    workers: int = 1,
-    rung_skip: bool = False,
-    substrate: str = "treap",
-    shared_state: bool = False,
-    traced: bool = False,
-):
+def measure(rung_skip: bool = False, substrate: str = "treap", traced: bool = False):
     """Drive both ladders through one configuration; return the observables.
 
     ``traced=True`` arms a phase tracer (telemetry never perturbs the
@@ -75,35 +63,29 @@ def measure(
     """
     ops = _trace()
     cm = CostModel()
-    executor = ExecConfig(
-        workers=workers, substrate=substrate, shared_state=shared_state
-    ).make_executor()
     core = CorenessDecomposition(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip, substrate=substrate,
+        rung_skip=rung_skip, substrate=substrate,
     )
     dens = DensityEstimator(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        executor=executor, rung_skip=rung_skip, substrate=substrate,
+        rung_skip=rung_skip, substrate=substrate,
     )
     timer = BatchTimer(cm)
     tracer = Tracer(cm) if traced else None
     ctx = trace.tracing(tracer) if traced else _null()
     t0 = wallclock.monotonic()
-    try:
-        with ctx:
-            for i, op in enumerate(ops):
-                with trace.span("batch", detail={"index": i, "kind": op.kind}):
-                    with timer.batch(op.kind, op.size):
-                        for st in (core, dens):
-                            if op.kind == "insert":
-                                st.insert_batch(op.edges)
-                            else:
-                                st.delete_batch(op.edges)
-        wall = wallclock.monotonic() - t0
-        answers = (core.estimates(), core.max_estimate(), dens.density_estimate())
-    finally:
-        executor.close()
+    with ctx:
+        for i, op in enumerate(ops):
+            with trace.span("batch", detail={"index": i, "kind": op.kind}):
+                with timer.batch(op.kind, op.size):
+                    for st in (core, dens):
+                        if op.kind == "insert":
+                            st.insert_batch(op.edges)
+                        else:
+                            st.delete_batch(op.edges)
+    wall = wallclock.monotonic() - t0
+    answers = (core.estimates(), core.max_estimate(), dens.density_estimate())
     return {
         "work": cm.work,
         "depth": cm.depth,
@@ -123,12 +105,9 @@ def _null():
 
 
 CONFIGS = [
-    ("serial", dict(workers=1, rung_skip=False, traced=True)),
-    ("process x2", dict(workers=2, rung_skip=False)),
-    ("flat", dict(workers=1, substrate="flat")),
-    ("flat + shm x2", dict(workers=2, substrate="flat", shared_state=True)),
-    ("skip", dict(workers=1, rung_skip=True)),
-    ("process x2 + skip", dict(workers=2, rung_skip=True)),
+    ("serial", dict(traced=True)),
+    ("flat", dict(substrate="flat")),
+    ("skip", dict(rung_skip=True)),
 ]
 
 
@@ -157,15 +136,15 @@ def run_experiment() -> Experiment:
         rows,
     )
     # the contracts this subsystem is built on
-    for other in ("process x2", "flat", "flat + shm x2"):
-        assert (base["work"], base["depth"], base["counters"]) == (
-            runs[other]["work"],
-            runs[other]["depth"],
-            runs[other]["counters"],
-        ), f"{other!r} accounting must be bit-identical to serial"
-        assert base["answers"] == runs[other]["answers"], (
-            f"{other!r} must not change any query answer"
-        )
+    flat = runs["flat"]
+    assert (base["work"], base["depth"], base["counters"]) == (
+        flat["work"],
+        flat["depth"],
+        flat["counters"],
+    ), "flat accounting must be bit-identical to serial"
+    assert base["answers"] == flat["answers"], (
+        "flat must not change any query answer"
+    )
     assert base["answers"] == runs["skip"]["answers"], (
         "rung-skip must not change any query answer"
     )
@@ -190,48 +169,31 @@ def run_experiment() -> Experiment:
     flat_x = base["wall"] / max(runs["flat"]["wall"], 1e-9)
     return Experiment(
         exp_id="E22",
-        title="ladder sharding — executor backends, substrates, rung-skip",
+        title="ladder sharding — substrates, rung-skip",
         claim=(
-            "the ladder's rungs are independent, so rung sweeps parallelise "
-            "across processes with merged cost accounting (bit-identical "
-            "work/depth/counters to serial), the storage substrate is a "
-            "pure wall-clock knob, and provably-unaffected rungs can be "
-            "skipped without changing any answer"
+            "the ladder's rungs are independent, so each sweep's depth is "
+            "the max over rungs and the Brent bound projects its W/D "
+            "parallelism, the storage substrate is a pure wall-clock knob, "
+            "and provably-unaffected rungs can be skipped without changing "
+            "any answer"
         ),
         table=table,
         conclusion=(
-            f"the process backend reproduces serial accounting exactly "
-            f"(asserted, bit-for-bit) while the Brent bound projects the "
-            f"sweep's W/D parallelism; the flat substrate keeps the same "
-            f"contract and runs {flat_x:.1f}x faster wall-clock on this "
-            f"trace, and the resident-state backend (flat + shm x2) keeps "
-            f"bit-identity while shipping only per-rung ops after the "
-            f"one-time shared-memory seed.  Rung-skip filtering removes "
+            f"the Brent bound projects the sweep's W/D parallelism from the "
+            f"model totals; the flat substrate reproduces serial accounting "
+            f"exactly (asserted, bit-for-bit) and runs {flat_x:.1f}x faster "
+            f"wall-clock on this trace.  Rung-skip filtering removes "
             f"{100 * saved:.0f}% of the model work on this skewed trace "
             f"({runs['skip']['skipped']} rung-batches deferred) with "
             f"byte-identical query answers (asserted) — the filtering is "
-            f"pure savings, not approximation.  The classic process pool "
-            f"still loses wall-clock to whole-structure pickling (honest "
-            f"mismatch, quantified in E24); the flat and resident-state "
-            f"rows are the fix."
+            f"pure savings, not approximation."
         ),
     )
 
 
-def test_e22_backends_agree():
-    serial = measure(workers=1)
-    proc = measure(workers=2)
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        proc["work"],
-        proc["depth"],
-        proc["counters"],
-    )
-    assert serial["answers"] == proc["answers"]
-
-
 def test_e22_flat_substrate_bit_identical():
-    serial = measure(workers=1)
-    flat = measure(workers=1, substrate="flat")
+    serial = measure()
+    flat = measure(substrate="flat")
     assert (serial["work"], serial["depth"], serial["counters"]) == (
         flat["work"],
         flat["depth"],
@@ -240,27 +202,16 @@ def test_e22_flat_substrate_bit_identical():
     assert serial["answers"] == flat["answers"]
 
 
-def test_e22_shared_state_bit_identical():
-    serial = measure(workers=1, substrate="flat")
-    shm = measure(workers=2, substrate="flat", shared_state=True)
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        shm["work"],
-        shm["depth"],
-        shm["counters"],
-    )
-    assert serial["answers"] == shm["answers"]
-
-
 def test_e22_skip_reduces_work_and_preserves_answers():
-    plain = measure(workers=1)
-    skip = measure(workers=1, rung_skip=True)
+    plain = measure()
+    skip = measure(rung_skip=True)
     assert skip["work"] < plain["work"]
     assert skip["skipped"] > 0
     assert skip["answers"] == plain["answers"]
 
 
 def test_e22_wallclock(benchmark):
-    benchmark.pedantic(lambda: measure(workers=1), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: measure(), rounds=1, iterations=1)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ determinism, and simulated-PRAM race safety in ``parallel()`` regions —
 plus API hygiene on the exported surface.  On top of the per-file rules,
 a whole-program phase (symbol table, call graph, per-function CFGs)
 checks the interprocedural families: all-paths charge reachability
-(REP-CF), ``guarded()`` exception safety (REP-X), determinism taint
-(REP-DT), and cross-process state flow (REP-PX).  See
+(REP-CF), ``guarded()`` exception safety (REP-X), and determinism taint
+(REP-DT).  See
 docs/STATIC_ANALYSIS.md for the rule catalogue, suppression syntax, and
 the baseline/SARIF/autofix workflow.
 """

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .chargepath import ChargePathChecker
 from .cost import CostAccountingChecker
-from .crossproc import CrossProcessChecker
 from .determinism import DeterminismChecker
 from .exceptions import ExceptionSafetyChecker
 from .hygiene import ApiHygieneChecker
@@ -36,7 +35,6 @@ ALL_PROJECT_CHECKERS = [
     ChargePathChecker,
     ExceptionSafetyChecker,
     DeterminismTaintChecker,
-    CrossProcessChecker,
 ]
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "ApiHygieneChecker",
     "ChargePathChecker",
     "CostAccountingChecker",
-    "CrossProcessChecker",
     "DeterminismChecker",
     "DeterminismTaintChecker",
     "ExceptionSafetyChecker",

@@ -5,13 +5,13 @@ whole parallelism story of Theorems 1.1/1.2, and the executor protocol
 (:mod:`repro.pram.executor`, docs/PERFORMANCE.md) is its single audited
 funnel: rung updates become :class:`~repro.pram.executor.RungTask` items
 handed to ``executor.run_structures``, which wraps each one in a cost-model
-branch and (under the process backend) merges worker deltas back.  A bare
+branch of one parallel region.  A bare
 
     for rung in self.rungs:
         rung.insert_batch(edges)
 
-re-serialises the sweep, bypasses the backend switch, and records the wrong
-depth (sequential sum instead of branch max).  This checker flags such
+re-serialises the sweep's accounting and records the wrong depth
+(sequential sum instead of branch max).  This checker flags such
 loops statically in the cost-scoped packages:
 
 * **REP-P001** — a ``for`` loop iterating over a ``rungs`` collection whose
@@ -185,8 +185,8 @@ class ParallelismChecker(Checker):
                     "REP-P001",
                     f"loop over rungs calls {method!r} directly — build "
                     "RungTask items and hand them to executor."
-                    "run_structures so the sweep parallelises and the "
-                    "depth accounting stays a branch max "
+                    "run_structures so the depth accounting stays a "
+                    "branch max "
                     "(docs/PERFORMANCE.md)",
                 )
         elif _is_edge_loop(node):

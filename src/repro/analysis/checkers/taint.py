@@ -1,7 +1,7 @@
 """REP-DT: determinism taint — unordered values must not reach answers.
 
 The correctness story of the reproduction rests on the differential
-panel: serial and process executors must produce *identical* answers.
+panel: every execution configuration must produce *identical* answers.
 Python breaks that silently whenever iteration order over a ``set`` (or
 an ``id()``/``hash()`` identity) leaks into a returned value or into a
 comparison key — the answer then depends on hash seeding and memory

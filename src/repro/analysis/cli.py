@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for cost accounting, determinism, "
             "simulated-PRAM race safety, API hygiene, and whole-program "
-            "charge/exception/taint/cross-process analysis (see "
+            "charge/exception/taint analysis (see "
             "docs/STATIC_ANALYSIS.md)."
         ),
     )

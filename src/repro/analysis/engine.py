@@ -12,7 +12,7 @@ both parsing and checking for unchanged files.
 The **whole-program phase** folds all summaries into a
 :class:`~repro.analysis.project.ProjectContext` (symbol table, call
 graph, ``may_charge``/``may_mutate`` fixpoints) and runs the
-interprocedural checkers (REP-CF / REP-X / REP-DT / REP-PX).  It is
+interprocedural checkers (REP-CF / REP-X / REP-DT).  It is
 cheap — pure traversal of summaries — so it re-runs in full every lint.
 
 Cost-accounting rules (REP-C*, REP-CF*) only apply inside the structure

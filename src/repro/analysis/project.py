@@ -1,7 +1,7 @@
 """Whole-program model for reprolint: summaries, symbols, call graph.
 
 Per-file checkers see one AST at a time; the interprocedural rule
-families (REP-CF / REP-X / REP-DT / REP-PX) need to see *across* files.
+families (REP-CF / REP-X / REP-DT) need to see *across* files.
 The bridge is the :class:`ModuleSummary` — a picklable, AST-free digest
 of one module produced by :func:`summarize_module`:
 
@@ -44,7 +44,7 @@ from .walker import (
 )
 
 #: bump when summary shape or fact extraction changes (invalidates caches).
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 #: the attribute fingerprints ``resilience/guard.py:capture`` dispatches on;
 #: a structure is snapshot-capable iff it (or a base) binds one of these.
@@ -141,14 +141,10 @@ class FunctionSummary:
     direct_charge: bool = False
     direct_mutate: bool = False
     var_types: dict[str, str] = field(default_factory=dict)
-    writes_globals: tuple[tuple[str, int], ...] = ()
-    mutates_params: tuple[tuple[str, int], ...] = ()
-    returned_names: tuple[str, ...] = ()
     returns_unordered: bool = False
     guarded_regions: list[GuardedRegion] = field(default_factory=list)
     taint_findings: list[TaintFinding] = field(default_factory=list)
     taint_pending: list[TaintPending] = field(default_factory=list)
-    worker_seed_descs: list[CallSite] = field(default_factory=list)
     # filled by the project fixpoints:
     may_charge: bool = False
     may_mutate: bool = False
@@ -233,15 +229,6 @@ def _resolve_relative(module_name: str, is_package: bool, level: int,
 # ---------------------------------------------------------------------------
 
 
-def _receiver_chain(node: ast.AST) -> Optional[tuple[str, ...]]:
-    """Chain of a call receiver; sees through one call level
-    (``self._ensure_pool().map`` -> ("self", "_ensure_pool"))."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    chain = attribute_chain(node)
-    return tuple(chain) if chain else None
-
-
 def _call_site(call: ast.Call, cls_name: Optional[str]) -> CallSite:
     func = call.func
     fcm = forwards_cm(call)
@@ -270,29 +257,6 @@ def _type_expr(value: ast.AST) -> Optional[str]:
     return ".".join(chain)
 
 
-def _local_names(fn: ast.AST) -> set[str]:
-    out: set[str] = set()
-    for sub in ast.walk(fn):
-        if isinstance(sub, ast.Assign):
-            for t in sub.targets:
-                out |= _flat_names(t)
-        elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-            out |= _flat_names(sub.target)
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            out |= _flat_names(sub.target)
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    out |= _flat_names(item.optional_vars)
-        elif isinstance(sub, ast.comprehension):
-            out |= _flat_names(sub.target)
-        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.add(sub.name)
-        elif isinstance(sub, ast.ExceptHandler) and sub.name:
-            out.add(sub.name)
-    return out
-
-
 def _flat_names(node: ast.AST) -> set[str]:
     if isinstance(node, ast.Name):
         return {node.id}
@@ -304,22 +268,6 @@ def _flat_names(node: ast.AST) -> set[str]:
     if isinstance(node, ast.Starred):
         return _flat_names(node.value)
     return set()
-
-
-def _root_name(node: ast.AST) -> Optional[str]:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _is_poolish(chain: tuple[str, ...], var_types: dict[str, str]) -> bool:
-    """Does a receiver chain look like a process pool / executor?"""
-    hay = list(chain[:-1])
-    if len(chain) >= 2 and chain[0] in var_types:
-        hay.append(var_types[chain[0]])
-    return any(
-        "pool" in part.lower() or "executor" in part.lower() for part in hay
-    )
 
 
 def _cm_guard_test_ids(node: ast.AST) -> set[int]:
@@ -381,7 +329,6 @@ class _FunctionSummarizer:
             for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
             if a.arg != "self"
         )
-        self.locals = _local_names(node) | set(self.params)
 
     def run(self) -> FunctionSummary:
         node = self.node
@@ -396,10 +343,8 @@ class _FunctionSummarizer:
         )
         self._collect_var_types(fs)
         self._collect_cfg(fs)
-        self._collect_globals_and_params(fs)
         self._collect_returns(fs)
         self._collect_guarded(fs)
-        self._collect_worker_seeds(fs)
         _TaintAnalysis(self, fs).run()
         return fs
 
@@ -457,63 +402,7 @@ class _FunctionSummarizer:
         fs.direct_charge = any(b.direct_charge for b in fs.blocks)
         fs.direct_mutate = any(b.mutation_lines for b in fs.blocks)
 
-    # -- PX facts ------------------------------------------------------------
-
-    def _collect_globals_and_params(self, fs: FunctionSummary) -> None:
-        declared_global: set[str] = set()
-        for sub in ast.walk(self.node):
-            if isinstance(sub, (ast.Global, ast.Nonlocal)):
-                declared_global |= set(sub.names)
-        writes: list[tuple[str, int]] = []
-        param_writes: list[tuple[str, int]] = []
-        params = set(self.params)
-        shadowed = self.locals - declared_global
-        for sub in ast.walk(self.node):
-            targets: list[ast.expr] = []
-            if isinstance(sub, ast.Assign):
-                targets = list(sub.targets)
-            elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                targets = [sub.target]
-            elif isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in MUTATOR_METHODS
-                ):
-                    root = _root_name(func.value)
-                    if root is None:
-                        continue
-                    line = sub.lineno
-                    if root in params:
-                        param_writes.append((root, line))
-                    elif (
-                        root in self.module_bindings
-                        and root not in shadowed
-                        and root != "self"
-                    ):
-                        writes.append((root, line))
-                continue
-            for target in targets:
-                for name in _flat_names(target):
-                    if name in declared_global:
-                        writes.append((name, sub.lineno))
-                root = _root_name(target) if not isinstance(
-                    target, (ast.Name, ast.Tuple, ast.List)
-                ) else None
-                if root in params:
-                    param_writes.append((root, sub.lineno))
-                elif (
-                    root is not None
-                    and root in self.module_bindings
-                    and root not in shadowed
-                    and root != "self"
-                ):
-                    writes.append((root, sub.lineno))
-        fs.writes_globals = tuple(sorted(set(writes)))
-        fs.mutates_params = tuple(sorted(set(param_writes)))
-
     def _collect_returns(self, fs: FunctionSummary) -> None:
-        names: set[str] = set()
         unordered = False
         set_locals = _set_typed_locals(self.node)
         for sub in ast.walk(self.node):
@@ -521,12 +410,8 @@ class _FunctionSummarizer:
                 if sub is not self.node:
                     continue
             if isinstance(sub, ast.Return) and sub.value is not None:
-                names |= {
-                    n.id for n in ast.walk(sub.value) if isinstance(n, ast.Name)
-                }
                 if _is_unordered_expr(sub.value, set_locals):
                     unordered = True
-        fs.returned_names = tuple(sorted(names))
         fs.returns_unordered = unordered
 
     # -- REP-X facts ---------------------------------------------------------
@@ -608,35 +493,6 @@ class _FunctionSummarizer:
             type_hint=hint,
             alien_writes=tuple(sorted(set(alien))),
         )
-
-    # -- REP-PX seeds --------------------------------------------------------
-
-    def _collect_worker_seeds(self, fs: FunctionSummary) -> None:
-        for sub in ast.walk(self.node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if not (
-                isinstance(func, ast.Attribute) and func.attr in ("map", "submit")
-            ):
-                continue
-            recv = _receiver_chain(func.value)
-            if recv is None or not _is_poolish(recv + (func.attr,), fs.var_types):
-                continue
-            if not sub.args:
-                continue
-            worker = sub.args[0]
-            if isinstance(worker, ast.Name):
-                fs.worker_seed_descs.append(
-                    CallSite(_BARE, (worker.id,), worker.id, sub.lineno)
-                )
-            else:
-                chain = attribute_chain(worker)
-                if chain:
-                    fs.worker_seed_descs.append(
-                        CallSite(_ATTR, tuple(chain), chain[-1], sub.lineno)
-                    )
-
 
 def _local_names_in(node: ast.AST) -> set[str]:
     out: set[str] = set()

@@ -115,20 +115,14 @@ def cmd_generate(args) -> int:
 
 
 def _exec_config(args) -> ExecConfig:
-    """The execution-backend configuration the CLI flags describe."""
+    """The execution configuration the CLI flags describe."""
     return ExecConfig(
-        workers=getattr(args, "workers", 1),
         rung_skip=bool(getattr(args, "rung_skip", False)),
-        task_timeout=getattr(args, "task_timeout", None),
-        task_retries=getattr(args, "task_retries", 2),
         substrate=getattr(args, "substrate", "treap"),
-        shared_state=bool(getattr(args, "shared_state", False)),
     )
 
 
-def _build_structures(
-    args, n: int, cm: CostModel, executor: object = None
-) -> list[tuple[str, object]]:
+def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
     rung_skip = bool(getattr(args, "rung_skip", False))
     substrate = getattr(args, "substrate", "treap")
     structures: list[tuple[str, object]] = []
@@ -138,7 +132,7 @@ def _build_structures(
                 "coreness",
                 CorenessDecomposition(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip, substrate=substrate,
+                    rung_skip=rung_skip, substrate=substrate,
                 ),
             )
         )
@@ -148,7 +142,7 @@ def _build_structures(
                 "density",
                 DensityEstimator(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    executor=executor, rung_skip=rung_skip, substrate=substrate,
+                    rung_skip=rung_skip, substrate=substrate,
                 ),
             )
         )
@@ -241,7 +235,6 @@ def cmd_run(args) -> int:
     cm = CostModel()
     REGISTRY.clear()
     timer = BatchTimer(cm, registry=REGISTRY)
-    executor = _exec_config(args).make_executor()
     live = bool(getattr(args, "live", False))
     serve_port = getattr(args, "serve_metrics", None)
     linger = max(0.0, getattr(args, "metrics_linger", 0.0) or 0.0)
@@ -250,7 +243,7 @@ def cmd_run(args) -> int:
     try:
         if serve_port is not None:
             server = _serve_metrics_or_die(REGISTRY, serve_port)
-        structures = _build_structures(args, n, cm, executor=executor)
+        structures = _build_structures(args, n, cm)
 
         progress = getattr(args, "progress", 0)
         telemetry = getattr(args, "telemetry", None)
@@ -295,7 +288,6 @@ def cmd_run(args) -> int:
         if server is not None and (not linger or sys.exc_info()[0] is not None):
             server.close()
             server = None
-        executor.close()
 
     series = timer.series
     rows = [
@@ -319,12 +311,14 @@ def cmd_run(args) -> int:
             rows.append(("orientation max d+", st.max_outdegree()))
     print(render_table(["metric", "value"], rows))
     if server is not None:
-        print(
-            f"metrics stay up on {server.url} for {linger:.0f}s more "
-            "(ctrl-C to release early)",
-            file=sys.stderr,
-        )
+        # announce only once inside the guarded region: a ctrl-C sent the
+        # moment the line appears must release the server, not kill us.
         try:
+            print(
+                f"metrics stay up on {server.url} for {linger:.0f}s more "
+                "(ctrl-C to release early)",
+                file=sys.stderr,
+            )
             threading.Event().wait(linger)
         except KeyboardInterrupt:
             pass
@@ -337,22 +331,19 @@ def cmd_profile(args) -> int:
 
     ``--bench-out DIR`` writes the machine-readable ``BENCH_<name>.json``
     perf summary; ``--prom PATH`` dumps the metrics registry in Prometheus
-    text exposition; ``--overhead`` prints the executor's wall-clock
-    overhead ledger (per-rung pickle/queue/compute attribution plus the
-    coordinator timeline — docs/OBSERVABILITY.md); ``--check`` replays a
+    text exposition; ``--check`` replays a
     second time *disarmed* and fails if work, depth, or any counter
     differs — the tracing-never-perturbs-the-cost-model guarantee,
     enforced end to end.
     """
     ops = read_trace(args.trace)
     n = max(validate_trace(ops), 2)
-    executor = _exec_config(args).make_executor()
 
     def measure(armed: bool):
         cm = CostModel()
         REGISTRY.clear()
         timer = BatchTimer(cm, registry=REGISTRY)
-        structures = _build_structures(args, n, cm, executor=executor)
+        structures = _build_structures(args, n, cm)
         if not armed:
             _replay(ops, structures, timer)
             return cm, timer, None
@@ -366,13 +357,10 @@ def cmd_profile(args) -> int:
                 jsonl.close()
         return cm, timer, tracer
 
-    try:
-        return _profile_body(args, measure, executor)
-    finally:
-        executor.close()
+    return _profile_body(args, measure)
 
 
-def _profile_body(args, measure, executor=None) -> int:
+def _profile_body(args, measure) -> int:
     cm, timer, tracer = measure(armed=True)
     root = tracer.root
     if root.work != cm.work or root.total_self_work() != root.work:
@@ -387,12 +375,6 @@ def _profile_body(args, measure, executor=None) -> int:
         f"\nphase-tree work {root.work} == cost-model work {cm.work} (exact); "
         f"depth {cm.depth}"
     )
-
-    if getattr(args, "overhead", False) and executor is not None:
-        # printed before any --check re-run so the ledger reflects the
-        # armed replay only.
-        print()
-        print(executor.stats.render())
 
     if args.prom:
         with open(args.prom, "w", encoding="utf-8") as fh:
@@ -831,25 +813,13 @@ def cmd_verify_diff(args) -> int:
 
 
 def _add_exec_args(sub: argparse.ArgumentParser) -> None:
-    """Execution-backend flags shared by ``run`` and ``profile``."""
-    sub.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="rung-sweep process count (1 = serial, the default)")
+    """Execution flags shared by ``run``, ``profile`` and ``verify``."""
     sub.add_argument("--rung-skip", action="store_true",
                      help="defer provably-unaffected ladder rungs (perf opt)")
-    sub.add_argument("--task-timeout", type=float, default=None, metavar="SEC",
-                     help="treat a rung-task worker as hung after SEC seconds "
-                          "(retried, then degraded to in-process; default: wait)")
-    sub.add_argument("--task-retries", type=int, default=2, metavar="K",
-                     help="pool-rebuild retry rounds before a failing rung "
-                          "task degrades to in-process execution")
     sub.add_argument("--substrate", choices=SUBSTRATES, default="treap",
                      help="orientation-state storage layout (answers and "
                           "cost accounting are bit-identical; 'flat' is the "
                           "contiguous fast path, see docs/PERFORMANCE.md)")
-    sub.add_argument("--shared-state", action="store_true",
-                     help="with --workers > 1: keep rung state resident in "
-                          "the workers and ship only per-rung deltas "
-                          "(seeded once via multiprocessing.shared_memory)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -910,9 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a JSONL span/event log to PATH")
     p.add_argument("--prom", metavar="PATH",
                    help="dump the metrics registry as Prometheus text")
-    p.add_argument("--overhead", action="store_true",
-                   help="print the executor wall-clock overhead ledger "
-                        "(per-rung pickle/queue/compute attribution)")
     p.add_argument("--check", action="store_true",
                    help="replay disarmed too; fail on any work/depth/counter drift")
     _add_exec_args(p)
@@ -951,8 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--deep-every", type=int, default=0,
                    help="audit the baseline vs the exact oracles every N batches")
     d.add_argument("--configs", metavar="A,B,...",
-                   help="comma-separated panel (default: serial, process-2, "
-                        "telemetry, rung-skip, chaos-recovered)")
+                   help="comma-separated panel (default: serial, telemetry, "
+                        "flat, rung-skip, chaos-recovered)")
     d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")

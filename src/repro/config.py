@@ -105,78 +105,28 @@ def check_substrate(substrate: str) -> str:
 
 @dataclass(frozen=True)
 class ExecConfig:
-    """Execution-backend configuration for the ladder sweeps.
+    """Execution configuration for the ladder sweeps.
 
     Orthogonal to :class:`Constants` (which shape the *answers*): these
-    knobs only change how the independent rung sweeps are scheduled and
-    filtered, never what any query returns.  The default — one in-process
-    worker, no filtering — reproduces the historical inline loops
-    bit-for-bit; ``workers > 1`` fans rungs out to a process pool with
-    merged cost/telemetry deltas, and ``rung_skip`` defers provably
-    unaffected rungs (docs/PERFORMANCE.md).  The CLI maps ``--workers``
-    and ``--rung-skip`` onto this.
+    knobs only change how the independent rung sweeps are filtered and
+    stored, never what any query returns.  The default — no filtering —
+    reproduces the historical inline loops bit-for-bit; ``rung_skip``
+    defers provably unaffected rungs (docs/PERFORMANCE.md).  The CLI maps
+    ``--rung-skip`` and ``--substrate`` onto this.
 
     Attributes
     ----------
-    workers:
-        Process count for the rung sweep; ``<= 1`` means serial.
     rung_skip:
         Enable rung-relevance filtering (degree-bound skip certificates).
-    task_timeout:
-        Seconds to wait for one rung task's worker result before treating
-        the worker as hung (``None`` = wait forever, the historical
-        behaviour).  Timed-out tasks are retried and ultimately degrade
-        to in-process execution — answers never change, only where the
-        work runs (docs/ROBUSTNESS.md).
-    task_retries:
-        Pool-rebuild retry rounds before a failing task degrades to
-        in-process execution.
     substrate:
         Storage substrate for the orientation state (:data:`SUBSTRATES`):
         ``treap`` (historical per-object trees) or ``flat`` (contiguous
         bisect-backed slabs).  Purely a wall-clock knob — all answers and
         cost accounting are bit-identical across substrates.
-    shared_state:
-        With ``workers > 1``: use the resident-state backend
-        (:class:`~repro.pram.shmexec.SharedStateExecutor`) — rung state
-        is seeded into persistent workers once over
-        ``multiprocessing.shared_memory`` and every later batch ships
-        only the per-rung ops and a scalar accounting delta, instead of
-        pickling whole structures both ways per task.  Answers and cost
-        accounting stay bit-identical to the serial backend.
     """
 
-    workers: int = 1
     rung_skip: bool = False
-    task_timeout: float | None = None
-    task_retries: int = 2
     substrate: str = "treap"
-    shared_state: bool = False
-
-    def make_executor(self):
-        """Build the executor this configuration describes.
-
-        Returns a fresh :class:`~repro.pram.executor.SerialExecutor`,
-        :class:`~repro.pram.executor.ProcessExecutor`, or
-        :class:`~repro.pram.shmexec.SharedStateExecutor`; the caller owns
-        it (``close()`` releases pooled workers).
-        """
-        from .pram.executor import ProcessExecutor, SerialExecutor
-
-        if self.workers > 1:
-            if self.shared_state:
-                from .pram.shmexec import SharedStateExecutor
-
-                return SharedStateExecutor(
-                    max_workers=self.workers,
-                    task_timeout=self.task_timeout,
-                )
-            return ProcessExecutor(
-                max_workers=self.workers,
-                task_timeout=self.task_timeout,
-                task_retries=self.task_retries,
-            )
-        return SerialExecutor()
 
 
 DEFAULT_EXEC = ExecConfig()

@@ -10,7 +10,7 @@ rung whose estimate drops below its hint.  The sandwich
 gives the ``4 + eps``-approximation
 ``core_ALG(v) in [(1/2 - eps) core(v), (2 + eps) core(v)]`` w.h.p.
 
-Rung sweeps route through a pluggable executor and optionally skip
+Rung sweeps run as one cost-model parallel region and optionally skip
 provably-unaffected rungs; queries binary-search the saturation-monotone
 ladder and memoise per vertex (see :mod:`repro.core.ladder` and
 docs/PERFORMANCE.md).
@@ -18,7 +18,7 @@ docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..instrument.work_depth import CostModel
@@ -41,7 +41,6 @@ class CorenessDecomposition(RungLadder, Transactional):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         h_max: Optional[int] = None,
-        executor: Optional[Any] = None,
         rung_skip: bool = False,
         substrate: str = "treap",
     ) -> None:
@@ -61,7 +60,7 @@ class CorenessDecomposition(RungLadder, Transactional):
             for i, H in enumerate(self.heights)
         ]
         self._touched: set[int] = set()
-        self._init_ladder(executor, rung_skip)
+        self._init_ladder(rung_skip)
 
     # -- updates (the rungs are independent — the parallel ladder) -------------
 

@@ -9,7 +9,7 @@ and exports that rung's orientation, in which every out-degree is at most
 ``(2 + eps) rho(G)``.  The arboricity estimate is ``lambda_ALG = 2 rho_ALG``
 (Nash-Williams sandwiches ``rho <= lambda <= 2 rho``).
 
-Rung sweeps route through a pluggable executor and optionally skip
+Rung sweeps run as one cost-model parallel region and optionally skip
 provably-"low" rungs; the first-"low" query binary-searches the
 verdict-monotone ladder and memoises its index (see
 :mod:`repro.core.ladder` and docs/PERFORMANCE.md).
@@ -17,7 +17,7 @@ verdict-monotone ladder and memoises its index (see
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..errors import InvariantViolation
@@ -38,7 +38,6 @@ class DensityEstimator(RungLadder, Transactional):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         h_max: Optional[int] = None,
-        executor: Optional[Any] = None,
         rung_skip: bool = False,
         substrate: str = "treap",
     ) -> None:
@@ -57,7 +56,7 @@ class DensityEstimator(RungLadder, Transactional):
             )
             for i, H in enumerate(self.heights)
         ]
-        self._init_ladder(executor, rung_skip)
+        self._init_ladder(rung_skip)
 
     # -- updates ------------------------------------------------------------------
 

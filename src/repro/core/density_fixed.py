@@ -51,7 +51,6 @@ class FixedHDensityGuard(RungOps):
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        executor: Optional[object] = None,
         substrate: str = "treap",
     ) -> None:
         self.H = check_height(H)
@@ -61,7 +60,7 @@ class FixedHDensityGuard(RungOps):
         self.seed = seed
         self.B = constants.B(n, eps)
         self.cm = cm if cm is not None else CostModel()
-        self.executor = executor if executor is not None else SerialExecutor()
+        self.executor = SerialExecutor()
         self.substrate = substrate
         self.changed_edges: set[tuple[int, int]] = set()
 
@@ -131,8 +130,8 @@ class FixedHDensityGuard(RungOps):
         The buckets are the ``T`` independent BALANCED(B) structures of
         the partition regime — the same shape as the ladder's rung sweep,
         so they share the executor protocol.  Journal absorption happens
-        coordinator-side inside each task's accounting branch (``finish``)
-        exactly where the inline loop charged it.
+        inside each task's accounting branch (``finish``) exactly where the
+        inline loop charged it.
         """
         groups: dict[int, list[tuple[int, int]]] = {}
         for e in edges:
@@ -143,17 +142,10 @@ class FixedHDensityGuard(RungOps):
                 method=method,
                 args=(groups[i],),
                 finish=self._absorb_journal,
-                install=self._bucket_installer(i),
             )
             for i in sorted(groups)
         ]
         self.executor.run_structures(self.cm, tasks)
-
-    def _bucket_installer(self, i: int):
-        def install(bucket: BalancedOrientation) -> None:
-            self._buckets[i] = bucket
-
-        return install
 
     def _absorb_journal(self, inner: BalancedOrientation) -> None:
         """Record undirected edges whose orientation may have changed —
@@ -202,8 +194,9 @@ class FixedHDensityGuard(RungOps):
         if self.regime == "duplication":
             return self.dup.majority_orientation(u, v)
         # .get, not _bucket(): a query must never materialise a bucket —
-        # reads have to leave the structure byte-for-byte unchanged so
-        # resident worker copies (SharedStateExecutor) stay coherent.
+        # reads have to leave the structure byte-for-byte unchanged, or a
+        # query would add an empty bucket to the next checkpoint payload
+        # and guard capture (both enumerate ``_buckets``).
         bucket = self._buckets.get(self._bucket_of(u, v))
         if bucket is None:
             raise BatchError(f"edge ({u}, {v}, copy=0) not present")

@@ -14,12 +14,13 @@ Each bucket is a :class:`~repro.pbst.treap.Treap` (the paper's BST) rather
 than a hash set, and ``any_at`` answers with the *minimum* filed tail.  The
 games only need *some* tail, but the choice must be a pure function of the
 bucket's contents: a hash set's iteration order depends on its internal
-table history, which a pickle round-trip rebuilds differently -- the
-process executor ships structures across workers, and replicas must take
-identical trajectories for serial and process runs to report identical
-work/depth/counters (docs/PERFORMANCE.md).  Treaps are history-independent
-(one shape per key set, priorities derived from keys), so the pick is
-canonical.
+table history, which checkpoint restore and guard rollback rebuild in a
+different insertion order -- and a restored structure must take the same
+trajectory as the original to report identical answers and
+work/depth/counters (docs/ROBUSTNESS.md).  The flat substrate answers with
+the same minimum, so the two substrates agree too.  Treaps are
+history-independent (one shape per key set, priorities derived from keys),
+so the pick is canonical.
 
 Cost parity: every mutation here is one dictionary/treap operation, charged
 by the enclosing structure at the [PP01] rate the paper charges
@@ -75,8 +76,8 @@ class InIndex:
     def any_at(self, tr: int, label: int, lev: int) -> Optional[int]:
         """The minimum tail filed at exactly (tr, label, lev), else None.
 
-        Canonical (content-determined) so replicas shipped across process
-        boundaries take the same game trajectory -- see the module docstring.
+        Canonical (content-determined) so rebuilt copies take the same game
+        trajectory -- see the module docstring.
         """
         by_level = self._buckets.get((tr, label))
         if not by_level:

@@ -5,11 +5,10 @@ The unconditional ladders (Theorems 1.1/1.2) sweep ``O(log n / eps)``
 both ladder classes mix in:
 
 * **Executor routing** — every batch becomes one :class:`~repro.pram.
-  executor.RungTask` per participating rung, handed to a pluggable
-  executor (:class:`~repro.pram.executor.SerialExecutor` by default —
-  bit-identical to the historical inline loop — or
-  :class:`~repro.pram.executor.ProcessExecutor` for real parallelism
-  with merged cost/telemetry deltas).
+  executor.RungTask` per participating rung, handed to
+  :meth:`~repro.pram.executor.SerialExecutor.run_structures`, which runs
+  them as branches of one cost-model parallel region (bit-identical to
+  the historical inline loop).
 
 * **Rung-skip filtering** (opt-in, ``rung_skip=True``) — a rung whose
   hint ``H`` sits provably above what the graph can saturate defers its
@@ -36,45 +35,18 @@ both ladder classes mix in:
   journals touched).  A deferred-rung flush clears the caches wholesale
   (journals of intermediate replayed batches are not retained).
 
-Cost-model semantics are frozen in the default configuration: with the
-serial executor and filtering off, work/depth/counters are bit-identical
-to the pre-sharding inline loops (``repro profile --check`` holds under
-both backends).  Filtering changes the cost *because that is its point*;
-its bookkeeping is charged at O(|batch|) work, O(1) depth per dispatch.
+Cost-model semantics are frozen in the default configuration: with
+filtering off, work/depth/counters are bit-identical to the
+pre-sharding inline loops (``repro profile --check`` holds).  Filtering
+changes the cost *because that is its point*; its bookkeeping is charged
+at O(|batch|) work, O(1) depth per dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..pram.executor import RungTask, SerialExecutor
-
-
-class RungStore(list):
-    """Rung list that materialises resident-state placeholders on read.
-
-    The shared-state executor installs lazy handles (objects exposing
-    ``__materialize__``) where rung structures used to live, so steady
-    batches never pull worker-resident state back.  Every *read* of a
-    rung — queries, invariant checks, checkpoint capture, flushes —
-    resolves the handle in place; the dispatch loop uses :meth:`raw` so
-    routing a batch stays O(1) per rung regardless of residency.
-    """
-
-    def __getitem__(self, i):
-        item = list.__getitem__(self, i)
-        resolve = getattr(item, "__materialize__", None)
-        if resolve is not None:
-            item = resolve()
-            list.__setitem__(self, i, item)
-        return item
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def raw(self, i: int):
-        """The stored entry (possibly a handle), without materialising."""
-        return list.__getitem__(self, i)
 
 
 class RungOps:
@@ -103,13 +75,11 @@ class RungLadder:
     #: so filtering bookkeeping is not double-charged.
     _dispatch_precharged = False
 
-    def _init_ladder(self, executor: Optional[Any], rung_skip: bool) -> None:
-        self.executor = executor if executor is not None else SerialExecutor()
+    def _init_ladder(self, rung_skip: bool) -> None:
+        self.executor = SerialExecutor()
         self.rung_skip = bool(rung_skip)
-        #: handle-aware storage for the rungs (see :class:`RungStore`).
-        self.rungs = RungStore(self.rungs)
-        #: skip thresholds are pure functions of (H, B, regime) — cached at
-        #: init so the dispatch loop never has to materialise a rung.
+        #: skip thresholds are pure functions of (H, B, regime), cached at
+        #: init so the dispatch loop never recomputes them per batch.
         self._skip_thresholds: list[int] = [
             rung.skip_threshold() for rung in self.rungs
         ]
@@ -160,13 +130,11 @@ class RungLadder:
                 ops.append((method, edges))
                 tasks.append(
                     RungTask(
-                        # raw: a resident rung ships as its handle (ops-only)
-                        structure=self.rungs.raw(i),
+                        structure=self.rungs[i],
                         method="apply_ops",
                         args=(ops,),
                         span="ladder.rung",
                         attrs={"H": H},
-                        install=self._rung_installer(i),
                     )
                 )
                 executed.append(i)
@@ -175,12 +143,6 @@ class RungLadder:
         if tasks:
             self.executor.run_structures(self.cm, tasks)
         self._invalidate_queries(edges, executed, flushed)
-
-    def _rung_installer(self, i: int):
-        def install(structure: Any) -> None:
-            self.rungs[i] = structure
-
-        return install
 
     def _track_degrees(self, method: str, edges: list[tuple[int, int]]) -> None:
         deg = self._deg
@@ -262,4 +224,4 @@ class RungLadder:
             self._est_cache.pop(v, None)
 
 
-__all__ = ["RungLadder", "RungOps", "RungStore"]
+__all__ = ["RungLadder", "RungOps"]

@@ -36,15 +36,14 @@ class LowOutDegree:
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        executor: Optional[object] = None,
         substrate: str = "treap",
     ) -> None:
         self.cm = cm if cm is not None else CostModel()
         # the guard's bucket sweep is this structure's parallel hot path;
-        # the executor (serial by default) routes it (docs/PERFORMANCE.md)
+        # the executor routes it (docs/PERFORMANCE.md)
         self.guard = FixedHDensityGuard(
             H, eps, n, cm=self.cm, constants=constants, seed=seed,
-            executor=executor, substrate=substrate,
+            substrate=substrate,
         )
         # exported orientation mirror: edge -> tail, vertex -> set of heads
         self._tail: dict[tuple[int, int], int] = {}

@@ -8,8 +8,7 @@
   deltas to a game → round → rung tree, a process-wide metrics registry,
   and JSONL / Prometheus / fixed-width-report / BENCH-json sinks.
 * :mod:`.wallclock` / :mod:`.history` / :mod:`.live` — the wall-clock
-  observatory: the process-wide mockable Tracer clock plus the executor
-  overhead ledger (``repro profile --overhead``), the bench-history
+  observatory: the process-wide mockable Tracer clock, the bench-history
   store with regression gates (``repro bench``), and the live terminal
   dashboard / Prometheus HTTP endpoint (``repro run --live``).
 """
@@ -46,7 +45,7 @@ from .telemetry import (
     Tracer,
 )
 from .trace import SPAN_TAXONOMY, register_span, span, tracing
-from .wallclock import ExecutorStats, FakeClock, mocked_clock, monotonic
+from .wallclock import FakeClock, mocked_clock, monotonic
 from .work_depth import CostModel, NullCostModel, ParallelRegion, Snapshot
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "BrentPoint",
     "CostModel",
     "Counter",
-    "ExecutorStats",
     "FakeClock",
     "Gauge",
     "Histogram",

@@ -104,21 +104,6 @@ METRIC_HELP: dict[str, str] = {
     "repro_scenario_live_edges": "live edges of the scenario stream",
     "repro_spans_total": "telemetry span exits by span name",
     "repro_span_seconds_total": "wall-clock seconds inside spans by name",
-    "repro_executor_rounds_total": "executor run_structures sweeps",
-    "repro_executor_tasks_total": "rung tasks executed",
-    "repro_executor_payload_bytes_total": "pickled task payload bytes shipped to workers",
-    "repro_executor_result_bytes_total": "pickled result bytes shipped back",
-    "repro_executor_serialize_seconds_total": "coordinator seconds pickling task payloads",
-    "repro_executor_deserialize_seconds_total": "coordinator seconds unpickling results",
-    "repro_executor_wait_seconds_total": "coordinator seconds blocked on worker results",
-    "repro_executor_queue_wait_seconds_total": "submit-to-worker-start queue latency seconds",
-    "repro_executor_compute_seconds_total": "worker seconds inside structure methods",
-    "repro_executor_worker_pickle_seconds_total": "worker seconds pickling/unpickling",
-    "repro_executor_merge_seconds_total": "coordinator seconds merging worker deltas",
-    "repro_executor_idle_seconds_total": "worker seconds paid for but idle",
-    "repro_executor_round_wall_seconds": "wall-clock seconds per executor round (log2 buckets)",
-    "repro_executor_retries_total": "rung tasks retried after a pool failure",
-    "repro_executor_degraded_total": "rung tasks degraded to in-process execution",
 }
 
 

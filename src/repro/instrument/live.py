@@ -4,8 +4,8 @@
 :class:`LiveDashboard` to the process-wide
 :class:`~repro.instrument.telemetry.MetricsRegistry`: a single terminal
 status line redrawn in place (``\\r`` + erase on a tty, throttled plain
-lines otherwise) showing per-rung progress, batch throughput, ETA, the
-top-3 hottest spans by wall-clock, and the executor overhead counters.
+lines otherwise) showing batch progress, throughput, ETA and the top-3
+hottest spans by wall-clock.
 Everything is *read* from the registry — the dashboard adds no
 instrumentation of its own and never touches a cost model, so a live run
 stays bit-identical to a quiet one.
@@ -134,15 +134,6 @@ class LiveDashboard:
         else:
             parts.append(f"batch {int(batches)}")
             parts.append(f"{rate:.1f} b/s")
-        rounds = _family_by_label(reg, "repro_executor_rounds_total", "backend")
-        for backend in sorted(rounds):
-            waits = _family_by_label(
-                reg, "repro_executor_wait_seconds_total", "backend"
-            )
-            parts.append(
-                f"exec[{backend}] {int(rounds[backend])} rounds"
-                + (f" wait {waits[backend]:.1f}s" if backend in waits else "")
-            )
         spans = _family_by_label(reg, "repro_span_seconds_total", "span")
         hottest = sorted(spans.items(), key=lambda kv: -kv[1])[:TOP_SPANS]
         if hottest:

@@ -104,28 +104,6 @@ class SpanNode:
         return [node for _path, node in self.walk() if node.name == name]
 
 
-def merge_span_children(dst: SpanNode, src: SpanNode) -> None:
-    """Graft ``src``'s children (recursively) into ``dst``.
-
-    The delta-merge half of the executor protocol
-    (:mod:`repro.pram.executor`): a worker process accumulates its own
-    phase tree under a private root; the coordinator grafts that root's
-    children under the span standing in for the worker's unit, summing
-    count/work/depth/wall into same-keyed nodes — exactly the aggregation
-    the serial backend would have produced by running the spans inline.
-    ``src`` itself (the worker's synthetic ``run`` root) is *not* merged:
-    its totals are already accounted by the coordinator's ``charge`` of
-    the worker delta.
-    """
-    for key, child in src.children.items():
-        node = dst.child(*key)
-        node.count += child.count
-        node.work += child.work
-        node.depth += child.depth
-        node.wall += child.wall
-        merge_span_children(node, child)
-
-
 class _Span:
     """One live (open) span; allocated only while a tracer is armed."""
 
@@ -496,5 +474,4 @@ __all__ = [
     "REGISTRY",
     "SpanNode",
     "Tracer",
-    "merge_span_children",
 ]

@@ -1,28 +1,11 @@
-"""The Tracer clock and the executor wall-clock overhead ledger.
+"""The process-wide Tracer clock.
 
-Work/depth units answer "where did the *model* cost go?"; this module
-answers the sibling question the ROADMAP's perf items hinge on — "where
-did the *seconds* go?" — in two pieces:
-
-* **The process-wide monotonic clock.**  Every wall-clock read in the
-  repo routes through :func:`monotonic` (reprolint's REP-O003 enforces
-  this outside ``instrument/``), so tests can swap in a
-  :class:`FakeClock` and replay-deterministic harnesses can freeze time
-  without monkeypatching ``time`` itself.  On Linux the underlying
-  ``CLOCK_MONOTONIC`` is system-wide, which is what lets worker
-  processes stamp queue latencies against coordinator submit times.
-
-* **The executor overhead ledger.**  :class:`ExecutorStats` aggregates
-  one :class:`RoundWall` per ``run_structures`` sweep (and one
-  :class:`TaskWall` per rung task) into per-rung and whole-run totals:
-  serialized payload bytes, coordinator pickle time, submit→start queue
-  latency, worker compute, worker idle, and coordinator merge time.
-  :meth:`ExecutorStats.render` is the ``repro profile --overhead``
-  report; :meth:`ExecutorStats.dominant` names the dominant cost (the
-  "73% of process-backend wall-clock is task pickling" line), and
-  :meth:`ExecutorStats.coverage` is the accounting honesty check — the
-  named components must explain >= 90% of the measured executor
-  wall-clock or the attribution is lying by omission.
+Work/depth units answer "where did the *model* cost go?"; wall-clock
+reads answer "where did the *seconds* go?".  Every wall-clock read in the
+repo routes through :func:`monotonic` (reprolint's REP-O003 enforces this
+outside ``instrument/``), so tests can swap in a :class:`FakeClock` and
+replay-deterministic harnesses can freeze time without monkeypatching
+``time`` itself.
 
 Nothing here ever touches a :class:`~repro.instrument.work_depth.
 CostModel`: wall-clock observability must not perturb the answer-bearing
@@ -34,8 +17,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 #: The swappable process-wide clock (seconds, monotonic, float).
 _CLOCK: Callable[[], float] = time.monotonic
@@ -86,325 +68,3 @@ class FakeClock:
     def advance(self, seconds: float) -> None:
         """Move the clock forward by ``seconds``."""
         self.now += seconds
-
-
-# --------------------------------------------------------------------------
-# executor overhead ledger
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class TaskWall:
-    """Wall-clock observables of one rung task's round trip.
-
-    ``label`` is the task's telemetry identity (``ladder.rung[H=3]``, or
-    ``(unspanned)`` for the density guard's historically span-less
-    bucket sweep).  Byte counts are the pickled structure sizes in each
-    direction; the ``*_s`` fields are seconds on :func:`monotonic`.
-    """
-
-    label: str
-    payload_bytes: int = 0
-    result_bytes: int = 0
-    serialize_s: float = 0.0  # coordinator: dump_structure
-    deserialize_s: float = 0.0  # coordinator: load_structure
-    queue_s: float = 0.0  # submit -> worker pickup latency
-    compute_s: float = 0.0  # worker: the method itself
-    worker_pickle_s: float = 0.0  # worker: load + dump
-
-
-@dataclass
-class RoundWall:
-    """Wall-clock observables of one ``run_structures`` sweep.
-
-    The coordinator timeline is contiguous — ``serialize_s`` (dump all
-    payloads), ``wait_s`` (blocked collecting worker results),
-    ``deserialize_s`` + ``merge_s`` (splice the deltas back) — so those
-    four segments sum to ~``wall_s`` by construction.  The worker-side
-    fields inside :attr:`tasks` decompose ``wait_s`` into queue latency,
-    compute, and (derived) idle.
-    """
-
-    backend: str
-    workers: int
-    wall_s: float
-    serialize_s: float = 0.0
-    wait_s: float = 0.0
-    deserialize_s: float = 0.0
-    merge_s: float = 0.0
-    tasks: list[TaskWall] = field(default_factory=list)
-
-    def busy_s(self) -> float:
-        """Worker-side busy seconds (compute + worker pickling)."""
-        return sum(t.compute_s + t.worker_pickle_s for t in self.tasks)
-
-    def idle_s(self) -> float:
-        """Worker seconds paid for but not computing (derived, >= 0)."""
-        lanes = min(self.workers, len(self.tasks)) or 1
-        return max(0.0, lanes * self.wait_s - self.busy_s())
-
-
-#: component key -> the human phrasing `dominant()` uses.  Components are
-#: *wall-equivalent* seconds: worker-side quantities are divided by the
-#: round's lane count (min(workers, tasks)) so overlapping lanes do not
-#: multiply into the share, and "queue" is the coordinator wait the
-#: workers cannot account as busy — submit→start queue latency, pool
-#: dispatch/IPC, and straggler idle.
-COMPONENT_PHRASES: dict[str, str] = {
-    "pickle": "task pickling",
-    "queue": "queue/dispatch wait",
-    "compute": "worker compute",
-    "merge": "coordinator merge",
-}
-
-
-class ExecutorStats:
-    """Aggregated executor overhead: per-rung rows plus run totals.
-
-    One instance lives on each executor (``executor.stats``); every
-    ``run_structures`` call records one round.  Aggregation happens at
-    record time — per-label sums plus whole-run totals — so a long run
-    holds O(#rungs) state, not O(#rounds).
-    """
-
-    _TOTAL_KEYS = (
-        "wall_s",
-        "serialize_s",
-        "wait_s",
-        "deserialize_s",
-        "merge_s",
-        "idle_s",
-        "queue_s",
-        "compute_s",
-        "worker_pickle_s",
-        "payload_bytes",
-        "result_bytes",
-        # wall-equivalent (per-lane) worker components + the unexplained
-        # wait — what components()/coverage()/dominant() report.
-        "compute_norm_s",
-        "worker_pickle_norm_s",
-        "queue_wall_s",
-    )
-
-    def __init__(self, backend: str = "serial") -> None:
-        self.backend = backend
-        self.rounds = 0
-        self.task_count = 0
-        self.totals: dict[str, float] = {k: 0.0 for k in self._TOTAL_KEYS}
-        self.labels: dict[str, dict[str, float]] = {}
-
-    # -- recording -----------------------------------------------------------
-
-    def record_round(self, rnd: RoundWall, registry=None) -> None:
-        """Fold one round into the aggregates (and ``registry``, if given)."""
-        self.rounds += 1
-        self.task_count += len(rnd.tasks)
-        t = self.totals
-        t["wall_s"] += rnd.wall_s
-        t["serialize_s"] += rnd.serialize_s
-        t["wait_s"] += rnd.wait_s
-        t["deserialize_s"] += rnd.deserialize_s
-        t["merge_s"] += rnd.merge_s
-        t["idle_s"] += rnd.idle_s()
-        lanes = min(rnd.workers, len(rnd.tasks)) or 1
-        round_compute = sum(task.compute_s for task in rnd.tasks)
-        round_wpickle = sum(task.worker_pickle_s for task in rnd.tasks)
-        t["compute_norm_s"] += round_compute / lanes
-        t["worker_pickle_norm_s"] += round_wpickle / lanes
-        if rnd.wait_s > 0:
-            t["queue_wall_s"] += max(
-                0.0, rnd.wait_s - (round_compute + round_wpickle) / lanes
-            )
-        for task in rnd.tasks:
-            t["queue_s"] += task.queue_s
-            t["compute_s"] += task.compute_s
-            t["worker_pickle_s"] += task.worker_pickle_s
-            t["payload_bytes"] += task.payload_bytes
-            t["result_bytes"] += task.result_bytes
-            row = self.labels.setdefault(
-                task.label,
-                {
-                    "tasks": 0.0,
-                    "payload_bytes": 0.0,
-                    "result_bytes": 0.0,
-                    "pickle_s": 0.0,
-                    "queue_s": 0.0,
-                    "compute_s": 0.0,
-                    "wall_s": 0.0,
-                },
-            )
-            row["tasks"] += 1
-            row["payload_bytes"] += task.payload_bytes
-            row["result_bytes"] += task.result_bytes
-            row["pickle_s"] += (
-                task.serialize_s + task.deserialize_s + task.worker_pickle_s
-            )
-            row["queue_s"] += task.queue_s
-            row["compute_s"] += task.compute_s
-            # the task's wall-equivalent footprint: coordinator pickling
-            # is real wall, worker-side busy time is shared across lanes.
-            row["wall_s"] += (
-                task.serialize_s
-                + task.deserialize_s
-                + (task.compute_s + task.worker_pickle_s) / lanes
-            )
-        if registry is not None:
-            self._publish(rnd, registry)
-
-    def _publish(self, rnd: RoundWall, registry) -> None:
-        """Mirror one round into a MetricsRegistry as ``repro_executor_*``."""
-        b = self.backend
-        registry.counter("repro_executor_rounds_total", backend=b).inc()
-        registry.counter("repro_executor_tasks_total", backend=b).inc(len(rnd.tasks))
-        registry.counter(
-            "repro_executor_serialize_seconds_total", backend=b
-        ).inc(max(0.0, rnd.serialize_s))
-        registry.counter(
-            "repro_executor_wait_seconds_total", backend=b
-        ).inc(max(0.0, rnd.wait_s))
-        registry.counter(
-            "repro_executor_deserialize_seconds_total", backend=b
-        ).inc(max(0.0, rnd.deserialize_s))
-        registry.counter(
-            "repro_executor_merge_seconds_total", backend=b
-        ).inc(max(0.0, rnd.merge_s))
-        registry.counter(
-            "repro_executor_idle_seconds_total", backend=b
-        ).inc(max(0.0, rnd.idle_s()))
-        for task in rnd.tasks:
-            registry.counter(
-                "repro_executor_payload_bytes_total", backend=b
-            ).inc(task.payload_bytes)
-            registry.counter(
-                "repro_executor_result_bytes_total", backend=b
-            ).inc(task.result_bytes)
-            registry.counter(
-                "repro_executor_queue_wait_seconds_total", backend=b
-            ).inc(max(0.0, task.queue_s))
-            registry.counter(
-                "repro_executor_compute_seconds_total", backend=b
-            ).inc(max(0.0, task.compute_s))
-            registry.counter(
-                "repro_executor_worker_pickle_seconds_total", backend=b
-            ).inc(max(0.0, task.worker_pickle_s))
-        registry.histogram(
-            "repro_executor_round_wall_seconds", backend=b
-        ).observe(max(0.0, rnd.wall_s))
-
-    # -- reading -------------------------------------------------------------
-
-    def components(self) -> dict[str, float]:
-        """The named cost components, in *wall-equivalent* seconds.
-
-        ``pickle`` folds the coordinator dump/load (real wall segments)
-        with the worker-side round trip divided by the lane count —
-        every second spent turning structures into bytes and back,
-        expressed as its contribution to the coordinator's wall.
-        ``compute`` is per-lane worker compute; ``queue`` is the
-        coordinator's measured wait minus what the workers account as
-        busy (submit→start queue latency, dispatch/IPC, straggler idle).
-        """
-        t = self.totals
-        return {
-            "pickle": (
-                t["serialize_s"] + t["deserialize_s"] + t["worker_pickle_norm_s"]
-            ),
-            "queue": t["queue_wall_s"],
-            "compute": t["compute_norm_s"],
-            "merge": t["merge_s"],
-        }
-
-    def coverage(self) -> float:
-        """(pickle + queue-wait + compute + merge) / measured wall-clock.
-
-        The accounting honesty metric: the named components must explain
-        the executor's wall-clock (>= 0.9 is the acceptance gate).  The
-        components come from *independent* measurements — worker-process
-        clocks vs the coordinator's timeline — so drift, unattributed
-        coordinator work, or clock skew shows up as a shortfall instead
-        of being defined away.  Returns 1.0 for an empty ledger.
-        """
-        wall = self.totals["wall_s"]
-        if wall <= 0:
-            return 1.0
-        c = self.components()
-        return (c["pickle"] + c["queue"] + c["compute"] + c["merge"]) / wall
-
-    def dominant(self) -> tuple[str, float]:
-        """The dominant cost component and its share of executor wall.
-
-        Returns ``(phrase, share)`` — e.g. ``("task pickling", 0.73)``.
-        """
-        wall = self.totals["wall_s"] or 1.0
-        comps = self.components()
-        key = max(comps, key=lambda k: comps[k])
-        return COMPONENT_PHRASES[key], comps[key] / wall
-
-    def render(self) -> str:
-        """The ``repro profile --overhead`` report (fixed-width text)."""
-        from .metrics import render_table  # local: avoid an import cycle
-
-        t = self.totals
-        wall = t["wall_s"] or 1.0
-        rows = []
-        for label in sorted(self.labels):
-            row = self.labels[label]
-            rows.append(
-                [
-                    label,
-                    int(row["tasks"]),
-                    f"{row['payload_bytes'] / 1024.0:.1f}",
-                    f"{row['result_bytes'] / 1024.0:.1f}",
-                    f"{row['pickle_s']:.3f}",
-                    f"{row['queue_s'] / (row['tasks'] or 1.0):.3f}",
-                    f"{row['compute_s']:.3f}",
-                    f"{100.0 * row['wall_s'] / wall:.1f}%",
-                ]
-            )
-        table = render_table(
-            ["rung", "tasks", "payload KiB", "result KiB",
-             "pickle s", "avg queue s", "compute s", "share of wall"],
-            rows,
-        )
-        timeline = render_table(
-            ["rounds", "wall s", "serialize s", "dispatch wait s",
-             "deserialize s", "merge s", "worker idle s"],
-            [[
-                self.rounds,
-                f"{t['wall_s']:.3f}",
-                f"{t['serialize_s']:.3f}",
-                f"{t['wait_s']:.3f}",
-                f"{t['deserialize_s']:.3f}",
-                f"{t['merge_s']:.3f}",
-                f"{t['idle_s']:.3f}",
-            ]],
-        )
-        phrase, share = self.dominant()
-        lines = [
-            f"executor overhead ({self.backend} backend, "
-            f"{self.task_count} tasks over {self.rounds} rounds)",
-            "",
-            table,
-            "",
-            "coordinator timeline:",
-            timeline,
-            "",
-            f"dominant cost: {100.0 * share:.0f}% of {self.backend}-backend "
-            f"wall-clock is {phrase}",
-            f"attribution coverage: pickle + queue-wait + compute + merge "
-            f"explain {100.0 * self.coverage():.0f}% of measured executor "
-            f"wall-clock",
-        ]
-        return "\n".join(lines)
-
-
-__all__ = [
-    "COMPONENT_PHRASES",
-    "ExecutorStats",
-    "FakeClock",
-    "RoundWall",
-    "TaskWall",
-    "mocked_clock",
-    "monotonic",
-    "set_clock",
-]

@@ -1,7 +1,7 @@
 """Simulated-PRAM primitives, sorting, and execution backends."""
 
 from .connectivity import connected_components
-from .executor import ProcessExecutor, RungTask, SerialExecutor, WorkerDelta
+from .executor import RungTask, SerialExecutor
 from .primitives import (
     arbitrary_winners,
     pack,
@@ -14,10 +14,8 @@ from .primitives import (
 from .sorting import parallel_sort
 
 __all__ = [
-    "ProcessExecutor",
     "RungTask",
     "SerialExecutor",
-    "WorkerDelta",
     "arbitrary_winners",
     "connected_components",
     "pack",

@@ -19,8 +19,8 @@ Semantics are *identical* to the treap substrate, not merely similar:
   (``select`` out of range raises :class:`IndexError`, like
   ``Treap.select``);
 * ``any_at`` returns the **minimum** filed tail key, the canonical
-  content-determined pick that keeps serial and process replicas on
-  identical game trajectories;
+  content-determined pick that keeps rebuilt (restored, rolled-back)
+  structures and the two substrates on identical game trajectories;
 * duplicate adds / missing removes raise ``AssertionError`` with the
   same messages as the treap-backed classes.
 

@@ -12,9 +12,8 @@ verifies structures against *external* ground truth:
   oracle and the flow-optimal orientation;
 * :func:`replay_audit` — replays a batch stream, auditing after every
   batch; used by the CLI's ``verify`` subcommand and the soak tests.
-  Takes an :class:`~repro.config.ExecConfig` so the PR-4 execution paths
-  (process backend, rung-skip deferred queues) are audited too, not just
-  the historical serial loop.
+  Takes an :class:`~repro.config.ExecConfig` so the rung-skip deferred
+  queues are audited too, not just the historical unfiltered loop.
 
 Every function returns an :class:`AuditReport`; ``ok`` is False with a
 list of findings rather than raising, so operators can log everything.
@@ -159,8 +158,8 @@ def replay_audit(
     ``deep_every > 0`` additionally audits coreness/density bands every
     that many batches (expensive: runs the exact oracles).  The ladder
     structures for those deep audits are built from ``exec_config``
-    (executor backend + rung-skip filtering), so every execution path —
-    not just the default serial loop — faces the oracles; deferred rungs
+    (rung-skip filtering), so every execution path — not just the
+    default unfiltered loop — faces the oracles; deferred rungs
     are flushed before each deep audit so the filtered configuration is
     judged on the same concrete state a query would materialise.
     """
@@ -178,49 +177,41 @@ def replay_audit(
     n_guess = max((max(e) for op in ops for e in op.edges), default=1) + 1
     st = BalancedOrientation(H or 5, constants=constants)
     core = dens = None
-    executor = None
     if deep_every:
-        executor = cfg.make_executor()
         core = CorenessDecomposition(
-            n_guess, eps, constants=constants,
-            executor=executor, rung_skip=cfg.rung_skip,
+            n_guess, eps, constants=constants, rung_skip=cfg.rung_skip
         )
         dens = DensityEstimator(
-            n_guess, eps, constants=constants,
-            executor=executor, rung_skip=cfg.rung_skip,
+            n_guess, eps, constants=constants, rung_skip=cfg.rung_skip
         )
-    try:
-        for i, op in enumerate(ops):
-            if op.kind == "insert":
-                graph.insert_batch(op.edges)
-                st.insert_batch(op.edges)
-                if core is not None:
-                    core.insert_batch(op.edges)
-                    dens.insert_batch(op.edges)
-            else:
-                graph.delete_batch(op.edges)
-                st.delete_batch(op.edges)
-                if core is not None:
-                    core.delete_batch(op.edges)
-                    dens.delete_batch(op.edges)
-            if audit_every and i % audit_every == 0:
-                sub = audit_orientation(st, graph)
+    for i, op in enumerate(ops):
+        if op.kind == "insert":
+            graph.insert_batch(op.edges)
+            st.insert_batch(op.edges)
+            if core is not None:
+                core.insert_batch(op.edges)
+                dens.insert_batch(op.edges)
+        else:
+            graph.delete_batch(op.edges)
+            st.delete_batch(op.edges)
+            if core is not None:
+                core.delete_batch(op.edges)
+                dens.delete_batch(op.edges)
+        if audit_every and i % audit_every == 0:
+            sub = audit_orientation(st, graph)
+            if not sub.ok:
+                sub.subject += f" (batch {i})"
+                report.merge(sub)
+        if deep_every and i % deep_every == deep_every - 1:
+            with _trace.span("verify.audit", detail={"batch": i}):
+                core.flush_all_pending()
+                dens.flush_all_pending()
+                sub = audit_coreness(core, graph)
                 if not sub.ok:
                     sub.subject += f" (batch {i})"
                     report.merge(sub)
-            if deep_every and i % deep_every == deep_every - 1:
-                with _trace.span("verify.audit", detail={"batch": i}):
-                    core.flush_all_pending()
-                    dens.flush_all_pending()
-                    sub = audit_coreness(core, graph)
-                    if not sub.ok:
-                        sub.subject += f" (batch {i})"
-                        report.merge(sub)
-                    sub = audit_density(dens, graph)
-                    if not sub.ok:
-                        sub.subject += f" (batch {i})"
-                        report.merge(sub)
-    finally:
-        if executor is not None:
-            executor.close()
+                sub = audit_density(dens, graph)
+                if not sub.ok:
+                    sub.subject += f" (batch {i})"
+                    report.merge(sub)
     return report

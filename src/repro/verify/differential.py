@@ -1,10 +1,9 @@
 """Differential replay: one stream, N execution configurations, zero drift.
 
-The repo now carries several execution paths that must agree — the serial
-executor vs the :class:`~repro.pram.executor.ProcessExecutor`, rung-skip
-filtering on vs off, telemetry armed vs disarmed, and a fault-injected
-run recovered by the :class:`~repro.resilience.recovery.RecoveryManager`
-vs a clean run.  Each contract is asserted somewhere in isolation; this
+The repo carries several execution paths that must agree — the treap
+vs the flat substrate, rung-skip filtering on vs off, telemetry armed vs
+disarmed, and a fault-injected run recovered by the
+:class:`~repro.resilience.recovery.RecoveryManager` vs a clean run.  Each contract is asserted somewhere in isolation; this
 module asserts them *together*: replay one :class:`BatchOp` stream
 through every named :class:`RunnerConfig` and diff the per-batch outputs
 (coreness estimates, density/arboricity answers, the exported
@@ -13,14 +12,13 @@ model's work/depth/counters) against the baseline configuration, plus
 optional deep audits of the baseline against the exact oracles in
 ``baselines/``.
 
-Answers must match across **all** configurations: the executor contract,
-the rung-skip certificate, the telemetry never-perturbs guarantee and
-the tier-1/2 recovery determinism all promise bit-identical query
-results.  Cost totals are only contractual within a cost class
-(``cost_class="exact"`` for serial/process/telemetry/flat/shm-2 — the
-substrate and resident-state contracts promise bit-identical accounting
-too; rung-skip and chaos change cost *by design*, so they opt out with
-``cost_class=None``).
+Answers must match across **all** configurations: the substrate
+contract, the rung-skip certificate, the telemetry never-perturbs
+guarantee and the tier-1/2 recovery determinism all promise bit-identical
+query results.  Cost totals are only contractual within a cost class
+(``cost_class="exact"`` for serial/telemetry/flat — the substrate
+contract promises bit-identical accounting too; rung-skip and chaos
+change cost *by design*, so they opt out with ``cost_class=None``).
 
 On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
 minimizer to a minimal repro; :mod:`repro.verify.artifact` serialises it
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-from ..config import DEFAULT_CONSTANTS, Constants, ExecConfig
+from ..config import DEFAULT_CONSTANTS, Constants
 from ..core.coreness import CorenessDecomposition
 from ..core.density import DensityEstimator
 from ..errors import ParameterError
@@ -60,33 +58,28 @@ class RunnerConfig:
     """
 
     name: str
-    workers: int = 1
     rung_skip: bool = False
     telemetry: bool = False
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
     cost_class: Optional[str] = "exact"
     substrate: str = "treap"
-    shared_state: bool = False
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "workers": self.workers,
             "rung_skip": self.rung_skip,
             "telemetry": self.telemetry,
             "recovery": self.recovery,
             "faults": [list(f) for f in self.faults],
             "cost_class": self.cost_class,
             "substrate": self.substrate,
-            "shared_state": self.shared_state,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunnerConfig":
         return cls(
             name=str(d["name"]),
-            workers=int(d.get("workers", 1)),
             rung_skip=bool(d.get("rung_skip", False)),
             telemetry=bool(d.get("telemetry", False)),
             recovery=bool(d.get("recovery", False)),
@@ -95,7 +88,6 @@ class RunnerConfig:
             ),
             cost_class=d.get("cost_class"),
             substrate=str(d.get("substrate", "treap")),
-            shared_state=bool(d.get("shared_state", False)),
         )
 
 
@@ -108,10 +100,8 @@ def default_configs() -> list[RunnerConfig]:
     """
     return [
         RunnerConfig("serial"),
-        RunnerConfig("process-2", workers=2),
         RunnerConfig("telemetry", telemetry=True),
         RunnerConfig("flat", substrate="flat"),
-        RunnerConfig("shm-2", workers=2, shared_state=True),
         RunnerConfig("rung-skip", rung_skip=True, cost_class=None),
         RunnerConfig(
             "chaos-recovered",
@@ -210,21 +200,13 @@ class _ConfigRun:
         self.error: Optional[str] = None
         self.dead_reported = False
         self.diverged = False
-        self.executor = ExecConfig(
-            cfg.workers,
-            cfg.rung_skip,
-            substrate=cfg.substrate,
-            shared_state=cfg.shared_state,
-        ).make_executor()
         self.core = CorenessDecomposition(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            executor=self.executor, rung_skip=cfg.rung_skip,
-            substrate=cfg.substrate,
+            rung_skip=cfg.rung_skip, substrate=cfg.substrate,
         )
         self.dens = DensityEstimator(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            executor=self.executor, rung_skip=cfg.rung_skip,
-            substrate=cfg.substrate,
+            rung_skip=cfg.rung_skip, substrate=cfg.substrate,
         )
         self.injector = None
         if cfg.faults:
@@ -297,9 +279,6 @@ class _ConfigRun:
     def cost_view(self) -> tuple[int, int, dict]:
         return (self.cm.work, self.cm.depth, dict(self.cm.counters))
 
-    def close(self) -> None:
-        self.executor.close()
-
 
 def run_diff(
     ops: Sequence[BatchOp],
@@ -333,31 +312,28 @@ def run_diff(
     runs = [_ConfigRun(cfg, n, eps, constants, seed) for cfg in panel]
     base = runs[0]
     graph = DynamicGraph(0)
-    try:
-        with _trace.span("verify.diff", detail={"batches": len(ops)}):
-            for i, op in enumerate(ops):
-                if op.kind == "insert":
-                    graph.insert_batch(op.edges)
-                else:
-                    graph.delete_batch(op.edges)
-                for run in runs:
-                    if run.error is not None:
-                        continue
-                    try:
-                        with _trace.span("verify.config", config=run.cfg.name):
-                            run.apply(op)
-                    except Exception as exc:
-                        run.error = f"{type(exc).__name__}: {exc}"
-                report.batches = i + 1
-                _compare_batch(report, runs, graph, i)
-                if deep_every and i % deep_every == deep_every - 1:
-                    _deep_audit(report, base, graph, i)
-                if stop_on_divergence and not report.ok:
-                    break
-    finally:
-        for run in runs:
-            report.cost_totals[run.cfg.name] = (run.cm.work, run.cm.depth)
-            run.close()
+    with _trace.span("verify.diff", detail={"batches": len(ops)}):
+        for i, op in enumerate(ops):
+            if op.kind == "insert":
+                graph.insert_batch(op.edges)
+            else:
+                graph.delete_batch(op.edges)
+            for run in runs:
+                if run.error is not None:
+                    continue
+                try:
+                    with _trace.span("verify.config", config=run.cfg.name):
+                        run.apply(op)
+                except Exception as exc:
+                    run.error = f"{type(exc).__name__}: {exc}"
+            report.batches = i + 1
+            _compare_batch(report, runs, graph, i)
+            if deep_every and i % deep_every == deep_every - 1:
+                _deep_audit(report, base, graph, i)
+            if stop_on_divergence and not report.ok:
+                break
+    for run in runs:
+        report.cost_totals[run.cfg.name] = (run.cm.work, run.cm.depth)
     return report
 
 
@@ -469,7 +445,7 @@ def minimize_diff(
     """Shrink a red differential run to a minimal repro.
 
     The probe panel is narrowed to the baseline plus the implicated
-    configs (no point spinning up a process pool per ddmin probe for a
+    configs (no point replaying every config per ddmin probe for a
     config that never diverged); oracle audits are kept only when the
     oracle actually flagged something.  Returns the minimal stream and
     the panel it fails under — ready for an artifact.

@@ -289,115 +289,3 @@ class TestDeterminismTaint:
             """,
             select=["REP-DT"],
         ) == set()
-
-
-class TestCrossProcess:
-    """REP-PX001/PX002: worker-reachable state flow."""
-
-    def test_global_write_in_worker_is_caught(self):
-        assert "REP-PX001" in _rules(
-            """
-            '''Fixture.'''
-
-            COUNTER = 0
-
-
-            def worker(task):
-                '''Doc.'''
-                global COUNTER
-                COUNTER += 1
-                return task
-
-
-            def run(pool, tasks):
-                '''Doc.'''
-                return pool.map(worker, tasks)
-            """,
-            select=["REP-PX"],
-        )
-
-    def test_global_write_through_helper_is_caught(self):
-        assert "REP-PX001" in _rules(
-            """
-            '''Fixture.'''
-
-            EVENTS = []
-
-
-            def _log(event):
-                '''Doc.'''
-                EVENTS.append(event)
-
-
-            def worker(task):
-                '''Doc.'''
-                _log(task)
-                return task
-
-
-            def run(executor, tasks):
-                '''Doc.'''
-                return executor.map(worker, tasks)
-            """,
-            select=["REP-PX"],
-        )
-
-    def test_unreturned_param_mutation_is_caught(self):
-        assert "REP-PX002" in _rules(
-            """
-            '''Fixture.'''
-
-
-            def worker(acc, item):
-                '''Doc.'''
-                acc.append(item)
-                return item
-
-
-            def run(pool, items):
-                '''Doc.'''
-                return pool.map(worker, items)
-            """,
-            select=["REP-PX"],
-        )
-
-    def test_returned_delta_is_clean(self):
-        assert _rules(
-            """
-            '''Fixture.'''
-
-
-            def worker(task):
-                '''Doc.'''
-                delta = {"work": task}
-                return delta
-
-
-            def run(pool, tasks):
-                '''Doc.'''
-                return pool.map(worker, tasks)
-            """,
-            select=["REP-PX"],
-        ) == set()
-
-    def test_non_pool_receiver_is_not_a_seed(self):
-        assert _rules(
-            """
-            '''Fixture.'''
-
-            COUNTER = 0
-
-
-            def bump(task):
-                '''Doc.'''
-                global COUNTER
-                COUNTER += 1
-                return task
-
-
-            def run(registry, tasks):
-                '''Doc.'''
-                return registry.map(bump, tasks)
-            """,
-            select=["REP-PX"],
-        ) == set()

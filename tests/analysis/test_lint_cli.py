@@ -70,7 +70,7 @@ class TestSelect:
         out = capsys.readouterr().out
         listed = {line.split()[0] for line in out.splitlines() if line}
         assert {"REP-CF001", "REP-X001", "REP-X002", "REP-DT001",
-                "REP-DT002", "REP-PX001", "REP-PX002"} <= listed
+                "REP-DT002"} <= listed
 
 
 class TestStatistics:
@@ -217,8 +217,8 @@ def test_baseline_write_is_deterministic(tmp_path):
 
     findings = [
         Finding("b.py", 9, "REP-DT001", "m2"),
-        Finding("a.py", 3, "REP-PX001", "m1"),
-        Finding("a.py", 7, "REP-PX001", "m1"),  # dup entry collapses
+        Finding("a.py", 3, "REP-P001", "m1"),
+        Finding("a.py", 7, "REP-P001", "m1"),  # dup entry collapses
     ]
     base = Baseline(path=str(path))
     count = base.write(str(path), findings)

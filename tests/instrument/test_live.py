@@ -22,8 +22,6 @@ def populated_registry():
     reg = MetricsRegistry()
     reg.counter("repro_batches_total", kind="insert").inc(3)
     reg.counter("repro_batches_total", kind="delete").inc(1)
-    reg.counter("repro_executor_rounds_total", backend="process").inc(5)
-    reg.counter("repro_executor_wait_seconds_total", backend="process").inc(2.5)
     for span, secs in (
         ("game.drop", 8.0),
         ("game.push", 4.0),
@@ -61,10 +59,10 @@ class TestLiveDashboard:
         assert "batch 4/10 (40%)" in frame
         assert "2.0 b/s" in frame
         assert "eta 3s" in frame  # 6 remaining at 2 b/s
-        assert "exec[process] 5 rounds wait 2.5s" in frame
         # top-3 hottest spans, hottest first; the 4th is cut
         assert "hot: game.drop=8.0s game.push=4.0s ladder.rung=2.0s" in frame
         assert "batch=1.0s" not in frame
+        assert frame.count(" | ") == 3  # progress, rate, eta, hot spans
         assert dash.frames == 1
 
     def test_frame_without_total_has_no_eta(self):
@@ -142,8 +140,8 @@ class TestMetricsServer:
             samples = parse_prometheus(body)
             assert samples[("repro_batches_total", (("kind", "insert"),))] == 3
             assert samples[
-                ("repro_executor_rounds_total", (("backend", "process"),))
-            ] == 5
+                ("repro_span_seconds_total", (("span", "game.drop"),))
+            ] == 8.0
         finally:
             server.close()
 

@@ -1,21 +1,13 @@
-"""The Tracer clock, span wall-clock, and the executor overhead ledger."""
+"""The Tracer clock and span wall-clock."""
 
 import pytest
 
 from repro.core import BalancedOrientation
 from repro.instrument import trace
-from repro.instrument import telemetry as telemetry_mod
 from repro.instrument import wallclock
 from repro.instrument.telemetry import MetricsRegistry, Tracer
-from repro.instrument.wallclock import (
-    ExecutorStats,
-    FakeClock,
-    RoundWall,
-    TaskWall,
-    mocked_clock,
-)
+from repro.instrument.wallclock import FakeClock, mocked_clock
 from repro.instrument.work_depth import CostModel
-from repro.pram.executor import ProcessExecutor, RungTask, SerialExecutor
 from repro.resilience import guarded
 
 
@@ -113,138 +105,3 @@ class TestSpanWall:
             st.insert_batch([(0, 1), (1, 2)])
         assert tracer.cm.work == cm2.work
         assert tracer.cm.depth == cm2.depth
-
-
-class TestExecutorStats:
-    def synthetic_round(self) -> RoundWall:
-        # 2 lanes, 4 tasks: busy 5.0 lane-seconds over a 2.6 s wait
-        tasks = [
-            TaskWall(
-                label=f"ladder.rung[H={h}]",
-                payload_bytes=1000,
-                result_bytes=2000,
-                serialize_s=0.05,
-                deserialize_s=0.025,
-                queue_s=0.3,
-                compute_s=1.2,
-                worker_pickle_s=0.05,
-            )
-            for h in (1, 2, 3, 4)
-        ]
-        return RoundWall(
-            backend="process",
-            workers=2,
-            wall_s=3.0,
-            serialize_s=0.2,
-            wait_s=2.6,
-            deserialize_s=0.1,
-            merge_s=0.1,
-            tasks=tasks,
-        )
-
-    def test_components_are_wall_equivalent(self):
-        stats = ExecutorStats("process")
-        stats.record_round(self.synthetic_round())
-        c = stats.components()
-        assert c["compute"] == pytest.approx(2.4)  # 4.8 lane-s / 2 lanes
-        assert c["pickle"] == pytest.approx(0.2 + 0.1 + 0.1)
-        # wait minus per-lane busy: 2.6 - 5.0/2
-        assert c["queue"] == pytest.approx(0.1)
-        assert c["merge"] == pytest.approx(0.1)
-        assert stats.coverage() == pytest.approx(1.0)
-        phrase, share = stats.dominant()
-        assert phrase == "worker compute"
-        assert share == pytest.approx(0.8)
-
-    def test_idle_is_clamped_nonnegative(self):
-        rnd = self.synthetic_round()
-        assert rnd.idle_s() == pytest.approx(0.2)  # 2 * 2.6 - 5.0
-        starved = RoundWall(
-            backend="process", workers=4, wall_s=1.0, wait_s=0.1,
-            tasks=[TaskWall(label="x", compute_s=5.0)],
-        )
-        assert starved.idle_s() == 0.0
-
-    def test_render_names_dominant_cost_and_coverage(self):
-        stats = ExecutorStats("process")
-        stats.record_round(self.synthetic_round())
-        report = stats.render()
-        assert "ladder.rung[H=1]" in report
-        assert "80% of process-backend wall-clock is worker compute" in report
-        assert "explain 100% of measured executor wall-clock" in report
-        assert "coordinator timeline" in report
-
-    def test_publishes_executor_metrics(self):
-        reg = MetricsRegistry()
-        stats = ExecutorStats("process")
-        stats.record_round(self.synthetic_round(), registry=reg)
-        assert reg.counter("repro_executor_rounds_total", backend="process").value == 1
-        assert reg.counter("repro_executor_tasks_total", backend="process").value == 4
-        assert (
-            reg.counter("repro_executor_payload_bytes_total", backend="process").value
-            == 4000
-        )
-        assert reg.histogram(
-            "repro_executor_round_wall_seconds", backend="process"
-        ).count == 1
-
-    def test_empty_ledger_coverage_is_one(self):
-        stats = ExecutorStats("serial")
-        assert stats.coverage() == 1.0
-
-
-class TestExecutorRoundAccounting:
-    """run_structures feeds the ledger on both backends."""
-
-    def make_task(self, cm: CostModel) -> RungTask:
-        st = BalancedOrientation(H=3, cm=cm)
-        return RungTask(
-            structure=st,
-            method="insert_batch",
-            args=([(0, 1), (1, 2), (2, 3)],),
-        )
-
-    def test_serial_round_is_all_compute(self):
-        telemetry_mod.REGISTRY.clear()
-        cm = CostModel()
-        ex = SerialExecutor()
-        with mocked_clock(FakeClock(step=1.0)):
-            ex.run_structures(cm, [self.make_task(cm)])
-        assert ex.stats.rounds == 1
-        assert ex.stats.task_count == 1
-        assert ex.stats.totals["compute_s"] > 0
-        assert ex.stats.totals["serialize_s"] == 0
-        assert ex.stats.totals["queue_wall_s"] == 0
-        phrase, _share = ex.stats.dominant()
-        assert phrase == "worker compute"
-        assert (
-            telemetry_mod.REGISTRY.counter(
-                "repro_executor_rounds_total", backend="serial"
-            ).value
-            == 1
-        )
-
-    def test_process_inline_round_accounts_bytes_and_phases(self):
-        telemetry_mod.REGISTRY.clear()
-        cm = CostModel()
-        with ProcessExecutor(max_workers=1) as ex:
-            with mocked_clock(FakeClock(step=1.0)):
-                ex.run_structures(cm, [self.make_task(cm)])
-            stats = ex.stats
-        assert stats.rounds == 1
-        assert stats.totals["payload_bytes"] > 0
-        assert stats.totals["result_bytes"] > 0
-        # every coordinator timeline segment was measured on the fake clock
-        for key in ("serialize_s", "wait_s", "deserialize_s", "merge_s"):
-            assert stats.totals[key] > 0, key
-        # worker-side decomposition measured too (same process, same clock)
-        assert stats.totals["compute_s"] > 0
-        assert stats.totals["worker_pickle_s"] > 0
-        assert stats.totals["queue_s"] > 0
-        assert 0.0 < stats.coverage() <= 1.5
-        assert (
-            telemetry_mod.REGISTRY.counter(
-                "repro_executor_tasks_total", backend="process"
-            ).value
-            == 1
-        )

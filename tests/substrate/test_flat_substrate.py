@@ -8,21 +8,15 @@ round trips.  The hypothesis driver below generates arbitrary
 insert/delete streams (normalised so deletes only touch live edges, the
 structures' own precondition) and diffs full ladder state between the
 two substrates after every batch.
-
-The resident-state executor (``SharedStateExecutor``) rides the same
-contract from the other side: rung state lives in persistent workers and
-only ops + scalar deltas cross the process boundary, yet answers and
-accounting must match the serial backend exactly, on either substrate.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import Constants, ExecConfig
+from repro.config import Constants
 from repro.core.coreness import CorenessDecomposition
 from repro.core.density import DensityEstimator
-from repro.core.ladder import RungStore
 from repro.graphs.graph import norm_edge
 from repro.resilience.checkpoint import checkpoint, restore_checkpoint
 from repro.resilience.guard import guarded
@@ -197,85 +191,3 @@ class TestFlatTreapEquivalence:
                 assert getattr(back_f, q)() == getattr(st_t, q)()
                 assert getattr(cross, q)() == getattr(st_t, q)()
         assert flat.observe() == treap.observe()
-
-
-# -- the resident-state executor ----------------------------------------------
-
-
-def _drive(workers, shared_state, substrate, query_every=0):
-    from repro.graphs import generators, streams
-
-    n, edges = generators.erdos_renyi(24, 70, seed=3)
-    ex = ExecConfig(workers=workers, shared_state=shared_state).make_executor()
-    try:
-        from repro.instrument.work_depth import CostModel
-
-        cm = CostModel()
-        core = CorenessDecomposition(
-            n, eps=0.3, cm=cm, constants=SMALL, seed=3,
-            executor=ex, substrate=substrate,
-        )
-        dens = DensityEstimator(
-            n, eps=0.3, cm=cm, constants=SMALL, seed=3,
-            executor=ex, substrate=substrate,
-        )
-        for k, op in enumerate(streams.insert_then_delete(edges, 10, seed=3)):
-            if op.kind == "insert":
-                core.insert_batch(op.edges)
-                dens.insert_batch(op.edges)
-            else:
-                core.delete_batch(op.edges)
-                dens.delete_batch(op.edges)
-            if query_every and (k + 1) % query_every == 0:
-                # mid-stream queries materialise resident rungs and force
-                # the executor back through its reseed path
-                core.max_estimate()
-                dens.density_estimate()
-        answers = (
-            tuple(sorted(core.estimates().items())),
-            core.max_estimate(),
-            dens.density_estimate(),
-        )
-        return answers, (cm.work, cm.depth, dict(sorted(cm.counters.items())))
-    finally:
-        ex.close()
-
-
-class TestSharedStateExecutor:
-    @pytest.mark.parametrize("substrate", ["treap", "flat"])
-    def test_bit_identical_to_serial(self, substrate):
-        base = _drive(1, False, substrate)
-        shm = _drive(2, True, substrate)
-        assert shm == base
-
-    def test_bit_identical_with_interleaved_queries(self):
-        # queries every 2 batches: steady ops-only batches alternate with
-        # materialise + reseed cycles, all under the flat substrate
-        base = _drive(1, False, "flat", query_every=2)
-        shm = _drive(2, True, "flat", query_every=2)
-        assert shm == base
-
-    def test_exec_config_selects_shared_state(self):
-        from repro.pram.shmexec import SharedStateExecutor
-
-        ex = ExecConfig(workers=2, shared_state=True).make_executor()
-        try:
-            assert isinstance(ex, SharedStateExecutor)
-        finally:
-            ex.close()
-
-
-class TestRungStore:
-    def test_materialises_handles_on_read(self):
-        class Handle:
-            def __init__(self, value):
-                self.value = value
-
-            def __materialize__(self):
-                return self.value
-
-        store = RungStore(["a", Handle("b")])
-        assert store.raw(1).__class__ is Handle  # raw() never resolves
-        assert store[1] == "b"
-        assert store.raw(1) == "b"  # resolved in place
-        assert list(store) == ["a", "b"]
