@@ -29,20 +29,13 @@ else:
 TOP_ROWS = 10
 
 
-def measure(substrate: str = "treap"):
-    """(series, phase-tree root, cost model, wall) for the canonical stream.
-
-    The substrate is a pure wall-clock knob (docs/PERFORMANCE.md): the
-    phase tree, every charge, and every answer are bit-identical between
-    ``treap`` and ``flat`` — only the wall column moves.
-    """
+def measure():
+    """(series, phase-tree root, cost model, wall) for the canonical stream."""
     from repro.instrument import wallclock
 
     _, edges = gen.erdos_renyi(N, M, seed=21)
     cm = CostModel()
-    cd = CorenessDecomposition(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=21, substrate=substrate
-    )
+    cd = CorenessDecomposition(N, eps=EPS, cm=cm, constants=CONSTANTS, seed=21)
     ops = streams.insert_then_delete(edges, BATCH, seed=21)
     t0 = wallclock.monotonic()
     series, tree = drive_traced(cd, ops, cm)
@@ -50,13 +43,11 @@ def measure(substrate: str = "treap"):
     return series, tree, cm, wall
 
 
-def measure_disarmed(substrate: str = "treap"):
+def measure_disarmed():
     """The identical stream with telemetry off (the bit-identity control)."""
     _, edges = gen.erdos_renyi(N, M, seed=21)
     cm = CostModel()
-    cd = CorenessDecomposition(
-        N, eps=EPS, cm=cm, constants=CONSTANTS, seed=21, substrate=substrate
-    )
+    cd = CorenessDecomposition(N, eps=EPS, cm=cm, constants=CONSTANTS, seed=21)
     for op in streams.insert_then_delete(edges, BATCH, seed=21):
         if op.kind == "insert":
             cd.insert_batch(op.edges)
@@ -75,13 +66,7 @@ def _aggregate_by_name(tree) -> dict[str, tuple[int, int]]:
 
 
 def run_experiment() -> Experiment:
-    series, tree, cm, wall_treap = measure()
-    _fs, flat_tree, flat_cm, wall_flat = measure("flat")
-    assert (flat_cm.work, flat_cm.depth, flat_tree.work) == (
-        cm.work,
-        cm.depth,
-        tree.work,
-    ), "the flat substrate must keep the phase tree and accounting bit-identical"
+    series, tree, _cm, _wall = measure()
     by_name = _aggregate_by_name(tree)
     total = tree.work
     rows = [
@@ -94,8 +79,6 @@ def run_experiment() -> Experiment:
         "e21_phase_breakdown", series, tree,
         extra={
             "n": N, "m": M, "batch_size": BATCH, "eps": EPS,
-            "substrate_wall": {"treap": wall_treap, "flat": wall_flat},
-            "flat_speedup": wall_treap / max(wall_flat, 1e-9),
         },
     )
     games = sum(w for n_, (w, _c) in by_name.items() if n_.startswith("game."))
@@ -132,14 +115,6 @@ def test_e21_bit_identical_when_armed():
     assert cm_armed.work == cm_bare.work
     assert cm_armed.depth == cm_bare.depth
     assert dict(cm_armed.counters) == dict(cm_bare.counters)
-
-
-def test_e21_flat_substrate_bit_identical():
-    cm_treap = measure_disarmed()
-    cm_flat = measure_disarmed("flat")
-    assert cm_treap.work == cm_flat.work
-    assert cm_treap.depth == cm_flat.depth
-    assert dict(cm_treap.counters) == dict(cm_flat.counters)
 
 
 def test_e21_games_dominate_dispatch():

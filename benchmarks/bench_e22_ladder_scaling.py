@@ -1,24 +1,20 @@
-"""E22 — ladder sharding: substrates and rung-skip filtering.
+"""E22 — ladder sharding: rung-skip filtering.
 
 The ladder's rungs are independent (that independence *is* Theorems
 1.1/1.2's parallelism), so every rung sweep runs as one cost-model
 parallel region and the Brent bound projects its W/D parallelism
 (docs/PERFORMANCE.md).  This experiment drives a skewed stream — a
 planted dense block that saturates the low rungs plus a sparse periphery
-that leaves the tall rungs untouched — through three configurations:
+that leaves the tall rungs untouched — through two configurations:
 
-* **serial** — the default configuration on the treap substrate; the
-  baseline.
-* **flat** — the contiguous-slab substrate; a pure wall-clock knob whose
-  accounting and answers are asserted bit-identical to serial.
+* **serial** — the default configuration; the baseline.
 * **skip** — rung-skip filtering; tall rungs whose hint sits above the
   degree bound defer updates, cutting *model work* without changing any
   answer (asserted below).
 
 Absolute wall-clock numbers are hardware-noisy; the reproduction targets
-are the invariants (bit-identity, answer-preservation) and the work/skip
-shapes — plus the flat-substrate wall-clock ratio that
-docs/PERFORMANCE.md quotes.  ``REPRO_E22_TINY=1`` shrinks the trace for
+are the invariant (answer-preservation) and the work/skip shapes.
+``REPRO_E22_TINY=1`` shrinks the trace for
 CI smoke runs.
 """
 
@@ -54,7 +50,7 @@ def _trace():
     return streams.insert_then_delete(edges, BATCH, seed=22)
 
 
-def measure(rung_skip: bool = False, substrate: str = "treap", traced: bool = False):
+def measure(rung_skip: bool = False, traced: bool = False):
     """Drive both ladders through one configuration; return the observables.
 
     ``traced=True`` arms a phase tracer (telemetry never perturbs the
@@ -65,11 +61,11 @@ def measure(rung_skip: bool = False, substrate: str = "treap", traced: bool = Fa
     cm = CostModel()
     core = CorenessDecomposition(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        rung_skip=rung_skip, substrate=substrate,
+        rung_skip=rung_skip,
     )
     dens = DensityEstimator(
         N, eps=EPS, cm=cm, constants=CONSTANTS, seed=22,
-        rung_skip=rung_skip, substrate=substrate,
+        rung_skip=rung_skip,
     )
     timer = BatchTimer(cm)
     tracer = Tracer(cm) if traced else None
@@ -106,7 +102,6 @@ def _null():
 
 CONFIGS = [
     ("serial", dict(traced=True)),
-    ("flat", dict(substrate="flat")),
     ("skip", dict(rung_skip=True)),
 ]
 
@@ -135,16 +130,7 @@ def run_experiment() -> Experiment:
          "W/D", f"Brent T_{P} (<=)", "wall"],
         rows,
     )
-    # the contracts this subsystem is built on
-    flat = runs["flat"]
-    assert (base["work"], base["depth"], base["counters"]) == (
-        flat["work"],
-        flat["depth"],
-        flat["counters"],
-    ), "flat accounting must be bit-identical to serial"
-    assert base["answers"] == flat["answers"], (
-        "flat must not change any query answer"
-    )
+    # the contract this subsystem is built on
     assert base["answers"] == runs["skip"]["answers"], (
         "rung-skip must not change any query answer"
     )
@@ -162,44 +148,28 @@ def run_experiment() -> Experiment:
                 }
                 for name, _ in CONFIGS
             },
-            "flat_speedup": base["wall"] / max(runs["flat"]["wall"], 1e-9),
         },
     )
     saved = 1.0 - runs["skip"]["work"] / base["work"]
-    flat_x = base["wall"] / max(runs["flat"]["wall"], 1e-9)
     return Experiment(
         exp_id="E22",
-        title="ladder sharding — substrates, rung-skip",
+        title="ladder sharding — rung-skip",
         claim=(
             "the ladder's rungs are independent, so each sweep's depth is "
             "the max over rungs and the Brent bound projects its W/D "
-            "parallelism, the storage substrate is a pure wall-clock knob, "
-            "and provably-unaffected rungs can be skipped without changing "
+            "parallelism, and provably-unaffected rungs can be skipped without changing "
             "any answer"
         ),
         table=table,
         conclusion=(
             f"the Brent bound projects the sweep's W/D parallelism from the "
-            f"model totals; the flat substrate reproduces serial accounting "
-            f"exactly (asserted, bit-for-bit) and runs {flat_x:.1f}x faster "
-            f"wall-clock on this trace.  Rung-skip filtering removes "
+            f"model totals.  Rung-skip filtering removes "
             f"{100 * saved:.0f}% of the model work on this skewed trace "
             f"({runs['skip']['skipped']} rung-batches deferred) with "
             f"byte-identical query answers (asserted) — the filtering is "
             f"pure savings, not approximation."
         ),
     )
-
-
-def test_e22_flat_substrate_bit_identical():
-    serial = measure()
-    flat = measure(substrate="flat")
-    assert (serial["work"], serial["depth"], serial["counters"]) == (
-        flat["work"],
-        flat["depth"],
-        flat["counters"],
-    )
-    assert serial["answers"] == flat["answers"]
 
 
 def test_e22_skip_reduces_work_and_preserves_answers():

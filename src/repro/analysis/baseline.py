@@ -2,8 +2,8 @@
 
 A baseline file records findings that are *known and accepted* — either
 legacy debt to be burned down, or intentional violations with a recorded
-justification (e.g. the treap substrate's by-design per-edge allocation
-under REP-P002).  ``lint_paths`` subtracts baselined findings from the
+justification (e.g. batch-local per-edge grouping accepted under
+REP-P002).  ``lint_paths`` subtracts baselined findings from the
 report, so ``repro lint src`` exits 0 on a tree whose only findings are
 baselined, while every *new* violation still fails CI.
 

@@ -4,7 +4,7 @@ The paper's worst-case work/depth theorems are only measurable because
 every mutation in the structure layer threads the
 :class:`~repro.instrument.work_depth.CostModel` (DESIGN.md §6).  This
 checker enforces that discipline statically in the cost-scoped packages
-(``core/``, ``pbst/``, ``hashtable/``):
+(``core/``, ``hashtable/``):
 
 * **REP-C001** — a public function that (transitively) mutates structure
   state, in a class or signature that carries a cost model, but whose call
@@ -70,7 +70,7 @@ class CostAccountingChecker(Checker):
             )
 
         if not has_cm:
-            # classes without a cost model (OutSet, Treap, ...) are charged
+            # classes without a cost model (OutSet, InIndex, ...) are charged
             # by their enclosing structure at the paper's lemma granularity.
             return
 

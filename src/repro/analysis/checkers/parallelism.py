@@ -24,19 +24,20 @@ sequential replay in ``RungLadder.flush_all_pending`` carries an inline
 ``# reprolint: disable=REP-P001`` with its justification.
 
 A second rule polices the *per-iteration cost* of those same hot loops
-(docs/PERFORMANCE.md, the flat-substrate story):
+(docs/PERFORMANCE.md, the storage-layout story):
 
 * **REP-P002** — a per-edge loop (iterating ``edges`` / ``arcs`` /
   per-edge journals, or unpacking ``for u, v in ...``) whose body
   allocates a fresh Python object per iteration: a class construction
-  (``Treap()``, ``_Node(...)``), a bare ``set()`` / ``dict()`` /
+  (``Node()``, ``_Node(...)``), a bare ``set()`` / ``dict()`` /
   ``list()`` constructor, or ``d.setdefault(k, <constructor>)`` growth.
-  One small object per edge is exactly the treap substrate's cost
-  profile — at E21/E22 scale the allocator dominates the sweep, which is
-  why the flat substrate keeps per-edge state in contiguous slabs.  The
-  historical treap-substrate files carry these sites in
-  ``.reprolint-baseline.json`` with justifications; *new* hot loops
-  should batch their allocation outside the loop or use the flat layout.
+  One small object per edge puts the allocator on the hot path — at
+  E21/E22 scale a per-edge tree node per stored arc dominated the sweep,
+  which is why the orientation keeps per-edge state in contiguous
+  per-vertex slabs (``core/outset.py``, ``core/inindex.py``).  Accepted
+  batch-local sites carry justifications in ``.reprolint-baseline.json``;
+  *new* hot loops should batch their allocation outside the loop or use
+  the slab layout.
 
 Raising paths are exempt (an exception constructor in a ``raise`` is not
 a steady-state allocation), as are loops that only *collect* results
@@ -196,11 +197,10 @@ class ParallelismChecker(Checker):
                 self.emit(
                     call,
                     "REP-P002",
-                    f"per-edge loop {what} — one object per edge is the "
-                    "treap substrate's allocator-bound cost profile; "
-                    "hoist the allocation out of the loop or keep the "
-                    "state on the flat substrate's contiguous slabs "
-                    "(docs/PERFORMANCE.md)",
+                    f"per-edge loop {what} — one object per edge puts "
+                    "the allocator on the hot path; hoist the allocation "
+                    "out of the loop or keep the state in contiguous "
+                    "per-vertex slabs (docs/PERFORMANCE.md)",
                 )
         self.generic_visit(node)
 
@@ -222,8 +222,8 @@ class ParallelismChecker(Checker):
                     "REP-P002",
                     f"per-item mutation {node.name}() {what} — this entry "
                     "point runs once per edge, so the allocation is "
-                    "per-edge; hoist it or keep the state on the flat "
-                    "substrate's contiguous slabs (docs/PERFORMANCE.md)",
+                    "per-edge; hoist it or keep the state in contiguous "
+                    "per-vertex slabs (docs/PERFORMANCE.md)",
                 )
         self.generic_visit(node)
 

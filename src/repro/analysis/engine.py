@@ -16,7 +16,7 @@ interprocedural checkers (REP-CF / REP-X / REP-DT).  It is
 cheap — pure traversal of summaries — so it re-runs in full every lint.
 
 Cost-accounting rules (REP-C*, REP-CF*) only apply inside the structure
-layer — paths under ``core/``, ``pbst/`` or ``hashtable/`` — where
+layer — paths under ``core/`` or ``hashtable/`` — where
 DESIGN.md §6 requires every mutation to charge the :class:`CostModel`.
 Everything else (apps, graphs, tooling) is exempt from those but still
 checked for determinism, races, and hygiene.
@@ -52,7 +52,7 @@ _SKIP_DIRS = frozenset(
 )
 
 #: path components that put a file in cost-accounting scope.
-_COST_SCOPE_DIRS = frozenset({"core", "pbst", "hashtable"})
+_COST_SCOPE_DIRS = frozenset({"core", "hashtable"})
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterable[str]:

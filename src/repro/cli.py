@@ -54,7 +54,7 @@ import threading
 from typing import Optional, Sequence
 
 from .baselines import core_numbers, exact_density, greedy_peeling_density
-from .config import SUBSTRATES, Constants, ExecConfig
+from .config import Constants, ExecConfig
 from .core import CorenessDecomposition, DensityEstimator
 from .graphs import DynamicGraph, generators, streams
 from .graphs.tracefile import (
@@ -116,15 +116,11 @@ def cmd_generate(args) -> int:
 
 def _exec_config(args) -> ExecConfig:
     """The execution configuration the CLI flags describe."""
-    return ExecConfig(
-        rung_skip=bool(getattr(args, "rung_skip", False)),
-        substrate=getattr(args, "substrate", "treap"),
-    )
+    return ExecConfig(rung_skip=bool(getattr(args, "rung_skip", False)))
 
 
 def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
     rung_skip = bool(getattr(args, "rung_skip", False))
-    substrate = getattr(args, "substrate", "treap")
     structures: list[tuple[str, object]] = []
     if args.mode in ("coreness", "both"):
         structures.append(
@@ -132,7 +128,7 @@ def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
                 "coreness",
                 CorenessDecomposition(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip, substrate=substrate,
+                    rung_skip=rung_skip,
                 ),
             )
         )
@@ -142,7 +138,7 @@ def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
                 "density",
                 DensityEstimator(
                     n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip, substrate=substrate,
+                    rung_skip=rung_skip,
                 ),
             )
         )
@@ -457,7 +453,7 @@ def cmd_scenarios(args) -> int:
     """Drive the adversarial scenario engine (docs/SCENARIOS.md).
 
     Default: soak the catalog (or ``--scenario NAME``) through chaos
-    fault injection and/or the five-config differential panel at the
+    fault injection and/or the four-config differential panel at the
     chosen ``--scale``; exit 0 iff every verdict is GREEN.
     ``--trace-out PATH`` instead spills one scenario's stream to a
     sealed trace file *out-of-core* — the stream is drained straight
@@ -816,10 +812,6 @@ def _add_exec_args(sub: argparse.ArgumentParser) -> None:
     """Execution flags shared by ``run``, ``profile`` and ``verify``."""
     sub.add_argument("--rung-skip", action="store_true",
                      help="defer provably-unaffected ladder rungs (perf opt)")
-    sub.add_argument("--substrate", choices=SUBSTRATES, default="treap",
-                     help="orientation-state storage layout (answers and "
-                          "cost accounting are bit-identical; 'flat' is the "
-                          "contiguous fast path, see docs/PERFORMANCE.md)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -919,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit the baseline vs the exact oracles every N batches")
     d.add_argument("--configs", metavar="A,B,...",
                    help="comma-separated panel (default: serial, telemetry, "
-                        "flat, rung-skip, chaos-recovered)")
+                        "rung-skip, chaos-recovered)")
     d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")

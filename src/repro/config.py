@@ -86,47 +86,25 @@ class Constants:
 
 DEFAULT_CONSTANTS = Constants()
 
-#: Storage substrates for the orientation state (docs/PERFORMANCE.md).
-#: ``treap`` is the historical per-object [PP01]-substitute; ``flat`` keeps
-#: the same ordered-set semantics on contiguous bisect-backed slabs
-#: (:mod:`repro.substrate`).  Answers, work, depth and counters are
-#: bit-identical across substrates — only wall-clock changes.
-SUBSTRATES = ("treap", "flat")
-
-
-def check_substrate(substrate: str) -> str:
-    """Validate a substrate name against :data:`SUBSTRATES`."""
-    if substrate not in SUBSTRATES:
-        raise ParameterError(
-            f"substrate must be one of {SUBSTRATES}, got {substrate!r}"
-        )
-    return substrate
-
 
 @dataclass(frozen=True)
 class ExecConfig:
     """Execution configuration for the ladder sweeps.
 
     Orthogonal to :class:`Constants` (which shape the *answers*): these
-    knobs only change how the independent rung sweeps are filtered and
-    stored, never what any query returns.  The default — no filtering —
+    knobs only change how the independent rung sweeps are filtered,
+    never what any query returns.  The default — no filtering —
     reproduces the historical inline loops bit-for-bit; ``rung_skip``
     defers provably unaffected rungs (docs/PERFORMANCE.md).  The CLI maps
-    ``--rung-skip`` and ``--substrate`` onto this.
+    ``--rung-skip`` onto this.
 
     Attributes
     ----------
     rung_skip:
         Enable rung-relevance filtering (degree-bound skip certificates).
-    substrate:
-        Storage substrate for the orientation state (:data:`SUBSTRATES`):
-        ``treap`` (historical per-object trees) or ``flat`` (contiguous
-        bisect-backed slabs).  Purely a wall-clock knob — all answers and
-        cost accounting are bit-identical across substrates.
     """
 
     rung_skip: bool = False
-    substrate: str = "treap"
 
 
 DEFAULT_EXEC = ExecConfig()

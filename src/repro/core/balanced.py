@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Optional
 
-from ..config import DEFAULT_CONSTANTS, Constants, check_height, check_substrate
+from ..config import DEFAULT_CONSTANTS, Constants, check_height
 from ..errors import BatchError, InvariantViolation
 from ..graphs.graph import Edge, norm_edge
 from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
 from ..resilience.guard import Transactional
-from ..substrate import inindex_cls, outset_cls
 from .inindex import InIndex
 from .levels import is_h_balanced_edge, levkey
 from .outset import OutSet
@@ -58,14 +57,10 @@ class BalancedOrientation(Transactional):
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         n_hint: int = 64,
-        substrate: str = "treap",
     ) -> None:
         self.H = check_height(H)
         self.cm = cm if cm is not None else CostModel()
         self.constants = constants
-        self.substrate = check_substrate(substrate)
-        self._outset_cls = outset_cls(substrate)
-        self._inx_cls = inindex_cls(substrate)
         self.out: dict[int, OutSet] = {}
         self.inx: dict[int, InIndex] = {}
         self.level: dict[int, int] = {}
@@ -126,23 +121,22 @@ class BalancedOrientation(Transactional):
     def _outset(self, v: int) -> OutSet:
         outset = self.out.get(v)
         if outset is None:
-            outset = self._outset_cls()
+            outset = OutSet()
             self.out[v] = outset
         return outset
 
     def _inx(self, v: int) -> InIndex:
         index = self.inx.get(v)
         if index is None:
-            index = self._inx_cls()
+            index = InIndex()
             self.inx[v] = index
         return index
 
     def _reset_storage(self) -> None:
-        """Drop every container to empty, preserving the substrate choice.
+        """Drop every container to empty.
 
-        The single funnel through which snapshot restore and guard
-        rollback wipe the structure before replaying arcs — keeping the
-        rebuilt containers on the same substrate as the original.
+        The single funnel through which guard rollback and checkpoint
+        load wipe the structure before replaying arcs.
         """
         self.out = {}
         self.inx = {}

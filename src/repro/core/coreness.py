@@ -42,7 +42,6 @@ class CorenessDecomposition(RungLadder, Transactional):
         seed: int = 0,
         h_max: Optional[int] = None,
         rung_skip: bool = False,
-        substrate: str = "treap",
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -50,12 +49,10 @@ class CorenessDecomposition(RungLadder, Transactional):
         self.constants = constants
         self.seed = seed
         self.h_max = h_max
-        self.substrate = substrate
         self.heights: list[int] = ladder_heights(n, eps, h_max)
         self.rungs: list[FixedHCorenessEstimator] = [
             FixedHCorenessEstimator(
                 H, eps, n, cm=self.cm, constants=constants, seed=seed + 31 * i,
-                substrate=substrate,
             )
             for i, H in enumerate(self.heights)
         ]

@@ -44,7 +44,6 @@ class FixedHCorenessEstimator(RungOps):
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        substrate: str = "treap",
     ) -> None:
         self.H = check_height(H)
         self.eps = check_eps(eps)
@@ -52,7 +51,6 @@ class FixedHCorenessEstimator(RungOps):
         self.constants = constants
         self.B = constants.B(n, eps)
         self.cm = cm if cm is not None else CostModel()
-        self.substrate = substrate
 
         if self.H <= self.B:
             # duplication regime
@@ -62,7 +60,6 @@ class FixedHCorenessEstimator(RungOps):
             self.regime = "duplication"
             self.dup = DuplicatedBalanced(
                 inner_H, self.K, cm=self.cm, constants=constants, n_hint=n,
-                substrate=substrate,
             )
             self.sampler: Optional[EdgeSampler] = None
             self.bal: Optional[BalancedOrientation] = None
@@ -74,7 +71,6 @@ class FixedHCorenessEstimator(RungOps):
             self.sampler = EdgeSampler(self.B / self.H, seed=seed ^ 0x5A17)
             self.bal = BalancedOrientation(
                 self.B, cm=self.cm, constants=constants, n_hint=n,
-                substrate=substrate,
             )
 
     # -- updates ------------------------------------------------------------

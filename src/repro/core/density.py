@@ -39,7 +39,6 @@ class DensityEstimator(RungLadder, Transactional):
         seed: int = 0,
         h_max: Optional[int] = None,
         rung_skip: bool = False,
-        substrate: str = "treap",
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -47,12 +46,10 @@ class DensityEstimator(RungLadder, Transactional):
         self.constants = constants
         self.seed = seed
         self.h_max = h_max
-        self.substrate = substrate
         self.heights: list[int] = ladder_heights(n, eps, h_max)
         self.rungs: list[FixedHDensityGuard] = [
             FixedHDensityGuard(
                 H, eps, n, cm=self.cm, constants=constants, seed=seed + 97 * i,
-                substrate=substrate,
             )
             for i, H in enumerate(self.heights)
         ]

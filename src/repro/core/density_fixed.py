@@ -51,7 +51,6 @@ class FixedHDensityGuard(RungOps):
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        substrate: str = "treap",
     ) -> None:
         self.H = check_height(H)
         self.eps = check_eps(eps)
@@ -61,7 +60,6 @@ class FixedHDensityGuard(RungOps):
         self.B = constants.B(n, eps)
         self.cm = cm if cm is not None else CostModel()
         self.executor = SerialExecutor()
-        self.substrate = substrate
         self.changed_edges: set[tuple[int, int]] = set()
 
         if self.H >= self.B / eps:
@@ -81,7 +79,6 @@ class FixedHDensityGuard(RungOps):
             self.K = K
             self.dup = DuplicatedBalanced(
                 self.H * self.K, self.K, cm=self.cm, constants=constants, n_hint=n,
-                substrate=substrate,
             )
             self._buckets = {}
 
@@ -99,7 +96,6 @@ class FixedHDensityGuard(RungOps):
         if bucket is None:
             bucket = BalancedOrientation(
                 self.B, cm=self.cm, constants=self.constants, n_hint=self.n,
-                substrate=self.substrate,
             )
             self._buckets[i] = bucket
         return bucket

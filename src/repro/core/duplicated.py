@@ -38,7 +38,6 @@ class DuplicatedBalanced:
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         n_hint: int = 64,
-        substrate: str = "treap",
     ) -> None:
         if K < 1:
             raise ParameterError(f"K must be >= 1, got {K}")
@@ -50,7 +49,6 @@ class DuplicatedBalanced:
         self.K = K
         self.inner = BalancedOrientation(
             check_height(inner_H), cm=cm, constants=constants, n_hint=n_hint,
-            substrate=substrate,
         )
 
     @property

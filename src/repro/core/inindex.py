@@ -5,89 +5,108 @@ For each vertex ``v``, each truncated rank ``i in 1..H+1`` and each label
 with that truncated rank and label, ordered by ``min(H, d+(w))``.  The
 only query ever issued is "give me an incoming edge with truncated rank
 ``i``, label ``c``, whose tail sits at truncated level exactly ``L``" —
-i.e. a lookup of the *minimum-level* element after checking its key, so a
-bucketed index (nested dicts: ``(tr, label) -> level -> treap of tails``)
-supports the identical access pattern.  Levels are bounded by ``H`` after
-truncation, so buckets are exact, not approximations.
+so the whole key is flattened to one dict level, ``(tr, label, lev) ->
+sorted list of tail keys``, and the query is a single dict hit plus
+``bucket[0]``.  Levels are bounded by ``H`` after truncation, so buckets
+are exact, not approximations.
 
-Each bucket is a :class:`~repro.pbst.treap.Treap` (the paper's BST) rather
-than a hash set, and ``any_at`` answers with the *minimum* filed tail.  The
-games only need *some* tail, but the choice must be a pure function of the
-bucket's contents: a hash set's iteration order depends on its internal
-table history, which checkpoint restore and guard rollback rebuild in a
-different insertion order -- and a restored structure must take the same
-trajectory as the original to report identical answers and
-work/depth/counters (docs/ROBUSTNESS.md).  The flat substrate answers with
-the same minimum, so the two substrates agree too.  Treaps are
-history-independent (one shape per key set, priorities derived from keys),
-so the pick is canonical.
+Each bucket is a sorted slab rather than a hash set, and ``any_at``
+answers with the *minimum* filed tail.  The games only need *some* tail,
+but the choice must be a pure function of the bucket's contents: a hash
+set's iteration order depends on its internal table history, which
+checkpoint restore and guard rollback rebuild in a different insertion
+order -- and a restored structure must take the same trajectory as the
+original to report identical answers and work/depth/counters
+(docs/ROBUSTNESS.md).
 
-Cost parity: every mutation here is one dictionary/treap operation, charged
+Cost parity: every mutation here is one dictionary/slab operation, charged
 by the enclosing structure at the [PP01] rate the paper charges
 (``O(log n)`` per edge touched; Lemmas 4.3/4.4).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
-from ..pbst.treap import Treap
+from bisect import bisect_left
+from typing import Any, Iterator, Optional
 
 
 class InIndex:
-    """Incoming-edge index of one vertex."""
+    """Incoming-edge index of one vertex, one sorted slab per bucket."""
 
     __slots__ = ("_buckets",)
 
     def __init__(self) -> None:
-        # (tr, label) -> { levkey -> Treap(tails) }
-        self._buckets: dict[tuple[int, int], dict[int, Treap]] = {}
+        self._buckets: dict[tuple[int, int, int], list[Any]] = {}
 
-    def add(self, tail: int, tr: int, label: int, lev: int) -> None:
-        by_level = self._buckets.setdefault((tr, label), {})
-        bucket = by_level.setdefault(lev, Treap())
-        if not bucket.insert(tail):
+    def add(self, tail: Any, tr: int, label: int, lev: int) -> None:
+        bucket = self._buckets.get((tr, label, lev))
+        if bucket is None:
+            self._buckets[(tr, label, lev)] = [tail]
+            return
+        i = bisect_left(bucket, tail)
+        if i < len(bucket) and bucket[i] == tail:
             raise AssertionError(f"in-edge from {tail} already filed at {(tr, label, lev)}")
+        bucket.insert(i, tail)
 
-    def remove(self, tail: int, tr: int, label: int, lev: int) -> None:
-        by_level = self._buckets.get((tr, label))
-        bucket = by_level.get(lev) if by_level else None
-        if bucket is None or not bucket.delete(tail):
-            raise AssertionError(
-                f"in-edge from {tail} not filed at {(tr, label, lev)}"
-            )
-        if not bucket:
-            del by_level[lev]
-        if not by_level:
-            del self._buckets[(tr, label)]
+    def remove(self, tail: Any, tr: int, label: int, lev: int) -> None:
+        bucket = self._buckets.get((tr, label, lev))
+        if bucket is not None:
+            i = bisect_left(bucket, tail)
+            if i < len(bucket) and bucket[i] == tail:
+                del bucket[i]
+                if not bucket:
+                    del self._buckets[(tr, label, lev)]
+                return
+        raise AssertionError(
+            f"in-edge from {tail} not filed at {(tr, label, lev)}"
+        )
 
     def move(
         self,
-        tail: int,
+        tail: Any,
         old: tuple[int, int, int],
         new: tuple[int, int, int],
     ) -> None:
-        """Re-file one in-edge under new (tr, label, lev)."""
+        """Re-file one in-edge under new (tr, label, lev).
+
+        remove+add inlined: this is the single hottest call in a rung
+        batch (every rank/label/level shift funnels through it).
+        """
         if old == new:
             return
-        self.remove(tail, *old)
-        self.add(tail, *new)
+        buckets = self._buckets
+        bucket = buckets.get(old)
+        if bucket is not None:
+            i = bisect_left(bucket, tail)
+            if i < len(bucket) and bucket[i] == tail:
+                del bucket[i]
+                if not bucket:
+                    del buckets[old]
+            else:
+                bucket = None
+        if bucket is None:
+            raise AssertionError(f"in-edge from {tail} not filed at {old}")
+        target = buckets.get(new)
+        if target is None:
+            buckets[new] = [tail]
+            return
+        j = bisect_left(target, tail)
+        if j < len(target) and target[j] == tail:
+            raise AssertionError(f"in-edge from {tail} already filed at {new}")
+        target.insert(j, tail)
 
-    def any_at(self, tr: int, label: int, lev: int) -> Optional[int]:
+    def any_at(self, tr: int, label: int, lev: int) -> Optional[Any]:
         """The minimum tail filed at exactly (tr, label, lev), else None.
 
         Canonical (content-determined) so rebuilt copies take the same game
         trajectory -- see the module docstring.
         """
-        by_level = self._buckets.get((tr, label))
-        if not by_level:
-            return None
-        bucket = by_level.get(lev)
+        bucket = self._buckets.get((tr, label, lev))
         if not bucket:
             return None
-        return bucket.min()
+        return bucket[0]
 
-    def any_truncated(self, tr: int, lev: int) -> Optional[int]:
+    def any_truncated(self, tr: int, lev: int) -> Optional[Any]:
         """Any tail with truncated rank ``tr`` at level ``lev``, any label.
 
         Used for the ``tr = H + 1`` step of the deletion game, where the
@@ -100,16 +119,11 @@ class InIndex:
                 return tail
         return None
 
-    def entries(self) -> Iterator[tuple[int, int, int, int]]:
+    def entries(self) -> Iterator[tuple[Any, int, int, int]]:
         """Yield (tail, tr, label, lev) of every filed in-edge (for checks)."""
-        for (tr, label), by_level in self._buckets.items():
-            for lev, bucket in by_level.items():
-                for tail in bucket:
-                    yield tail, tr, label, lev
+        for (tr, label, lev), bucket in self._buckets.items():
+            for tail in bucket:
+                yield tail, tr, label, lev
 
     def __len__(self) -> int:
-        return sum(
-            len(bucket)
-            for by_level in self._buckets.values()
-            for bucket in by_level.values()
-        )
+        return sum(len(bucket) for bucket in self._buckets.values())

@@ -36,14 +36,12 @@ class LowOutDegree:
         cm: Optional[CostModel] = None,
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
-        substrate: str = "treap",
     ) -> None:
         self.cm = cm if cm is not None else CostModel()
         # the guard's bucket sweep is this structure's parallel hot path;
         # the executor routes it (docs/PERFORMANCE.md)
         self.guard = FixedHDensityGuard(
             H, eps, n, cm=self.cm, constants=constants, seed=seed,
-            substrate=substrate,
         )
         # exported orientation mirror: edge -> tail, vertex -> set of heads
         self._tail: dict[tuple[int, int], int] = {}

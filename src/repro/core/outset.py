@@ -6,63 +6,74 @@ The *rank* of a directed edge ``(u -> v)`` is the 1-indexed position of
 storing edges is not important" — Section 4.1); we order by neighbour id,
 which is stable and deterministic.
 
-Backed by the [PP01]-substitute treap so that rank and select are genuine
-O(log n) operations — the deletion game's "incoming edge of rank i" lookups
-and the implicit-coloring forests ``F_{i,j}`` (Corollary 1.5) both rely on
-rank/select.
+The set lives in one contiguous sorted ``list`` slab per vertex, the
+layout the exemplar flat k-core engines use (SNIPPETS.md).  Rank/select
+are a binary search plus an index and insert/delete a ``memmove`` inside
+one buffer, all C-speed in CPython.  For the out-degrees the ladder ever
+holds (``<= H + 1`` filed positions per vertex) the O(n) shift is far
+below the constant factor of pointer-chasing a per-edge tree.  The cost
+model is unaffected: no charging lives here, and the callers charge the
+[PP01] rate of O(log n) per element the paper assumes (DESIGN.md,
+substitution 2).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..pbst.treap import Treap
+from bisect import bisect_left
+from typing import Any, Iterator
 
 
 class OutSet:
-    """Ordered out-neighbour set of one vertex."""
+    """Ordered out-neighbour set of one vertex, on a contiguous slab."""
 
-    __slots__ = ("_treap",)
+    __slots__ = ("_keys",)
 
     def __init__(self) -> None:
-        self._treap = Treap()
+        self._keys: list[Any] = []
 
     def __len__(self) -> int:
-        return len(self._treap)
+        return len(self._keys)
 
-    def __contains__(self, w: int) -> bool:
-        return w in self._treap
+    def __contains__(self, w: Any) -> bool:
+        keys = self._keys
+        i = bisect_left(keys, w)
+        return i < len(keys) and keys[i] == w
 
-    def add(self, w: int) -> None:
-        if not self._treap.insert(w):
+    def add(self, w: Any) -> None:
+        keys = self._keys
+        i = bisect_left(keys, w)
+        if i < len(keys) and keys[i] == w:
             raise AssertionError(f"out-edge to {w} already present")
+        keys.insert(i, w)
 
-    def remove(self, w: int) -> None:
-        if not self._treap.delete(w):
+    def remove(self, w: Any) -> None:
+        keys = self._keys
+        i = bisect_left(keys, w)
+        if i >= len(keys) or keys[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
+        del keys[i]
 
-    def rank(self, w: int) -> int:
+    def rank(self, w: Any) -> int:
         """1-indexed rank of the edge to ``w`` (must be present)."""
-        if w not in self._treap:
+        keys = self._keys
+        i = bisect_left(keys, w)
+        if i >= len(keys) or keys[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
-        return self._treap.rank(w) + 1
+        return i + 1
 
-    def select(self, rank: int) -> int:
+    def select(self, rank: int) -> Any:
         """Neighbour at 1-indexed ``rank``."""
-        return self._treap.select(rank - 1)
+        if not (1 <= rank <= len(self._keys)):
+            raise IndexError(f"select({rank - 1}) on set of size {len(self._keys)}")
+        return self._keys[rank - 1]
 
-    def first(self, k: int) -> list[int]:
+    def first(self, k: int) -> list[Any]:
         """The first ``min(k, len)`` neighbours in rank order."""
-        top = min(k, len(self._treap))
-        return [self._treap.select(i) for i in range(top)]
+        return self._keys[:k]
 
-    def window(self, lo: int, hi: int) -> list[int]:
-        """Neighbours at 1-indexed positions ``lo..hi`` inclusive (clamped)."""
-        top = min(hi, len(self._treap))
-        return [self._treap.select(i) for i in range(max(0, lo - 1), top)]
+    def window(self, lo: int, hi: int) -> list[Any]:
+        """Keys at 1-indexed positions ``lo..hi`` inclusive (clamped)."""
+        return self._keys[max(0, lo - 1): hi]
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._treap)
-
-    def check(self) -> None:
-        self._treap.check()
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._keys)

@@ -28,16 +28,9 @@ from .balanced import BalancedOrientation
 
 
 def snapshot(st: BalancedOrientation) -> dict[str, Any]:
-    """Capture the logical state (arcs + levels + H + substrate).
-
-    The substrate is recorded so :func:`restore` rebuilds on the same
-    storage layout by default; it is *not* part of the logical state —
-    a snapshot taken on one substrate restores cleanly onto the other
-    (``restore(snap, substrate=...)``) with identical answers.
-    """
+    """Capture the logical state (arcs + levels + H)."""
     return {
         "H": st.H,
-        "substrate": st.substrate,
         "arcs": sorted(st.arcs()),
         "levels": {v: lvl for v, lvl in sorted(st.level.items()) if lvl or v in st.out},
     }
@@ -84,22 +77,15 @@ def restore(
     snap: dict[str, Any],
     cm: Optional[CostModel] = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    substrate: Optional[str] = None,
 ) -> BalancedOrientation:
     """Rebuild a structure from a snapshot and verify its invariants.
 
-    ``substrate`` overrides the recorded storage layout; by default the
-    structure comes back on the substrate it was captured on (snapshots
-    predating the knob restore onto ``treap``, the historical layout).
+    Keys other than ``H``/``arcs``/``levels`` are ignored: snapshots
+    written while the storage layout was selectable also carry a
+    ``"substrate"`` tag, which names no logical state.
     """
     H, arcs, levels = _checked_snapshot(snap)
-    if substrate is None:
-        substrate = snap.get("substrate", "treap")
-        if not isinstance(substrate, str):
-            raise BatchError(
-                f"snapshot 'substrate' must be a string, got {substrate!r}"
-            )
-    st = BalancedOrientation(H, cm=cm, constants=constants, substrate=substrate)
+    st = BalancedOrientation(H, cm=cm, constants=constants)
     # Pre-seeding the recorded levels makes every _arc_add file its
     # in-index entry under the final level bucket immediately.
     st.level = levels
@@ -122,7 +108,6 @@ def to_json(st: BalancedOrientation) -> str:
     return json.dumps(
         {
             "H": snap["H"],
-            "substrate": snap["substrate"],
             "arcs": [list(a) for a in snap["arcs"]],
             "levels": {str(v): lvl for v, lvl in snap["levels"].items()},
         }
@@ -133,7 +118,6 @@ def from_json(
     payload: str,
     cm: Optional[CostModel] = None,
     constants: Constants = DEFAULT_CONSTANTS,
-    substrate: Optional[str] = None,
 ) -> BalancedOrientation:
     """Rebuild a validated :class:`BalancedOrientation` from :func:`to_json` output."""
     try:
@@ -152,9 +136,7 @@ def from_json(
         else raw.get("arcs"),
         "levels": raw.get("levels"),
     }
-    if "substrate" in raw:
-        snap["substrate"] = raw["substrate"]
     for key in ("H", "arcs", "levels"):
         if snap[key] is None:
             raise BatchError(f"snapshot missing key {key!r}")
-    return restore(snap, cm=cm, constants=constants, substrate=substrate)
+    return restore(snap, cm=cm, constants=constants)

@@ -4,7 +4,7 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
 
 * :mod:`~repro.resilience.faults` — a deterministic, seeded fault injector
   with named injection sites instrumented into the hot paths (token games,
-  bundle extraction, substrate batch ops).  Zero overhead while disarmed.
+  bundle extraction, hash-table batch ops).  Zero overhead while disarmed.
 * :mod:`~repro.resilience.guard` — transactional batch application: a
   ``guarded`` context manager plus the ``Transactional`` mixin that makes
   every structure's batch apply-fully-or-rollback (strong exception

@@ -82,7 +82,6 @@ def checkpoint(st: Any) -> dict[str, Any]:
         return {
             "type": "balanced",
             "H": snap["H"],
-            "substrate": snap["substrate"],
             "arcs": [list(a) for a in snap["arcs"]],
             "levels": {str(v): lvl for v, lvl in snap["levels"].items()},
         }
@@ -99,7 +98,6 @@ def checkpoint(st: Any) -> dict[str, Any]:
             "eps": st.eps,
             "seed": st.seed,
             "h_max": st.h_max,
-            "substrate": st.substrate,
             "constants": asdict(st.constants),
             "rungs": [_rung_state(rung) for rung in st.rungs],
         }
@@ -130,7 +128,11 @@ def _rung_state(rung: Any) -> dict[str, Any]:
 
 
 def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) -> Any:
-    """Rebuild a structure from a :func:`checkpoint` payload and verify it."""
+    """Rebuild a structure from a :func:`checkpoint` payload and verify it.
+
+    Unknown keys are ignored, so payloads written while the storage
+    layout was selectable (they carry a ``"substrate"`` tag) still load.
+    """
     if not isinstance(payload, dict):
         raise BatchError("checkpoint payload must be a mapping")
     kind = payload.get("type")
@@ -139,7 +141,6 @@ def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) 
 
         snap = {
             "H": payload.get("H"),
-            "substrate": payload.get("substrate", "treap"),
             "arcs": [tuple(a) for a in payload.get("arcs", [])],
             "levels": payload.get("levels", {}),
         }
@@ -165,7 +166,6 @@ def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) 
         constants=constants,
         seed=int(payload["seed"]),
         h_max=payload.get("h_max"),
-        substrate=payload.get("substrate", "treap"),
     )
     rungs = payload["rungs"]
     if len(rungs) != len(st.rungs):

@@ -2,7 +2,7 @@
 
 The dynamic structures' hot paths are instrumented with *injection sites*
 (the :data:`SITES` catalogue): one guarded call per token-game phase,
-settlement, bundle extraction and substrate batch operation.  While no
+settlement, bundle extraction and hash-table batch operation.  While no
 injector is armed the instrumentation is a single module-global ``is
 None`` check — measurably free (benchmark E20 times it).
 
@@ -42,8 +42,6 @@ SITES: frozenset[str] = frozenset(
         "tokens.push.settle",  # before delete settlement
         "bundles.extract",  # start of ExtractTokenBundle
         "bundles.partition",  # deletion-token partitioning
-        "pbst.batch_insert",  # BatchOrderedSet.batch_insert
-        "pbst.batch_delete",  # BatchOrderedSet.batch_delete
         "hashtable.batch_set",  # BatchHashTable.batch_set
         "hashtable.batch_delete",  # BatchHashTable.batch_delete
     }

@@ -3,7 +3,7 @@
 A batch that dies half-way through a token game leaves ``BALANCED(H)``
 with frozen levels, leftover vertex labels and a half-flipped arc set.
 :func:`guarded` makes every batch atomic: it captures a *logical snapshot*
-(the arc/level/label dictionaries — O(m) dict copies, no treap or index
+(the arc/level/label dictionaries — O(m) dict copies, no out-set or index
 state) before the batch and, if anything raises, rebuilds the structure
 in place from the snapshot through the same audited ``_arc_add`` funnel
 the ordinary restore path uses.  After a rollback the structure is
@@ -161,14 +161,7 @@ def _rebuild_balanced(st: Any, snap: Snapshot) -> None:
     trick ``core/snapshot.py`` uses, at the same O(m H log n) cost (charged
     through ``_arc_add``).
     """
-    if hasattr(st, "_reset_storage"):
-        st._reset_storage()  # preserves the substrate's container classes
-    else:  # pragma: no cover - every BalancedOrientation has _reset_storage
-        st.out = {}
-        st.inx = {}
-        st.tr_of = {}
-        st.label_of = {}
-        st.tail_of = {}
+    st._reset_storage()
     st.level = dict(snap["level"])
     st.vertex_label = dict(snap["vertex_label"])
     for (a, b, copy), tail in snap["tail_of"].items():

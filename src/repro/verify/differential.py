@@ -1,9 +1,9 @@
 """Differential replay: one stream, N execution configurations, zero drift.
 
-The repo carries several execution paths that must agree — the treap
-vs the flat substrate, rung-skip filtering on vs off, telemetry armed vs
-disarmed, and a fault-injected run recovered by the
-:class:`~repro.resilience.recovery.RecoveryManager` vs a clean run.  Each contract is asserted somewhere in isolation; this
+The repo carries several execution paths that must agree — rung-skip
+filtering on vs off, telemetry armed vs disarmed, and a fault-injected
+run recovered by the :class:`~repro.resilience.recovery.RecoveryManager`
+vs a clean run.  Each contract is asserted somewhere in isolation; this
 module asserts them *together*: replay one :class:`BatchOp` stream
 through every named :class:`RunnerConfig` and diff the per-batch outputs
 (coreness estimates, density/arboricity answers, the exported
@@ -12,13 +12,12 @@ model's work/depth/counters) against the baseline configuration, plus
 optional deep audits of the baseline against the exact oracles in
 ``baselines/``.
 
-Answers must match across **all** configurations: the substrate
-contract, the rung-skip certificate, the telemetry never-perturbs
-guarantee and the tier-1/2 recovery determinism all promise bit-identical
-query results.  Cost totals are only contractual within a cost class
-(``cost_class="exact"`` for serial/telemetry/flat — the substrate
-contract promises bit-identical accounting too; rung-skip and chaos
-change cost *by design*, so they opt out with ``cost_class=None``).
+Answers must match across **all** configurations: the rung-skip
+certificate, the telemetry never-perturbs guarantee and the tier-1/2
+recovery determinism all promise bit-identical query results.  Cost
+totals are only contractual within a cost class (``cost_class="exact"``
+for serial/telemetry; rung-skip and chaos change cost *by design*, so
+they opt out with ``cost_class=None``).
 
 On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
 minimizer to a minimal repro; :mod:`repro.verify.artifact` serialises it
@@ -63,7 +62,6 @@ class RunnerConfig:
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
     cost_class: Optional[str] = "exact"
-    substrate: str = "treap"
 
     def to_dict(self) -> dict:
         return {
@@ -73,11 +71,13 @@ class RunnerConfig:
             "recovery": self.recovery,
             "faults": [list(f) for f in self.faults],
             "cost_class": self.cost_class,
-            "substrate": self.substrate,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunnerConfig":
+        """Inverse of :meth:`to_dict`; unknown keys are ignored (artifacts
+        written while the storage layout was selectable carry a
+        ``"substrate"`` key)."""
         return cls(
             name=str(d["name"]),
             rung_skip=bool(d.get("rung_skip", False)),
@@ -87,7 +87,6 @@ class RunnerConfig:
                 (str(s), int(h), str(a)) for s, h, a in d.get("faults", [])
             ),
             cost_class=d.get("cost_class"),
-            substrate=str(d.get("substrate", "treap")),
         )
 
 
@@ -101,7 +100,6 @@ def default_configs() -> list[RunnerConfig]:
     return [
         RunnerConfig("serial"),
         RunnerConfig("telemetry", telemetry=True),
-        RunnerConfig("flat", substrate="flat"),
         RunnerConfig("rung-skip", rung_skip=True, cost_class=None),
         RunnerConfig(
             "chaos-recovered",
@@ -202,11 +200,11 @@ class _ConfigRun:
         self.diverged = False
         self.core = CorenessDecomposition(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip, substrate=cfg.substrate,
+            rung_skip=cfg.rung_skip,
         )
         self.dens = DensityEstimator(
             n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip, substrate=cfg.substrate,
+            rung_skip=cfg.rung_skip,
         )
         self.injector = None
         if cfg.faults:

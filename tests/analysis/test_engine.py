@@ -17,7 +17,6 @@ SRC = os.path.join(REPO_ROOT, "src")
 
 def test_cost_scope_path_classification():
     assert in_cost_scope("src/repro/core/balanced.py")
-    assert in_cost_scope("src/repro/pbst/batch_set.py")
     assert in_cost_scope("src/repro/hashtable/batch_table.py")
     assert not in_cost_scope("src/repro/apps/matching.py")
     assert not in_cost_scope("src/repro/graphs/streams.py")

@@ -10,7 +10,7 @@ from repro.core.bulk import from_graph, static_balanced_orientation
 from repro.core.levels import levkey
 from repro.errors import BatchError
 from repro.graphs import generators as gen
-from repro.instrument import wallclock
+from repro.instrument.work_depth import CostModel
 
 
 def assert_h_balanced(tail_of, deg, H):
@@ -74,15 +74,19 @@ class TestFromGraph:
         assert bulk_edges == inc_edges
 
     def test_bulk_is_faster_on_dense_input(self):
+        """Bulk loading does less model work than one incremental batch.
+
+        Compared on the cost model, not the wall clock, so the verdict is
+        deterministic; the totals are pinned so a change to either path's
+        accounting shows up here.
+        """
         n, edges = gen.erdos_renyi(80, 500, seed=5)
-        t0 = wallclock.monotonic()
-        from_graph(edges, H=5)
-        bulk_time = wallclock.monotonic() - t0
-        t0 = wallclock.monotonic()
-        st = BalancedOrientation(H=5)
-        st.insert_batch(edges)
-        incremental_time = wallclock.monotonic() - t0
-        assert bulk_time < incremental_time
+        bulk_cm = CostModel()
+        from_graph(edges, H=5, cm=bulk_cm)
+        inc_cm = CostModel()
+        BalancedOrientation(H=5, cm=inc_cm).insert_batch(edges)
+        assert (bulk_cm.work, inc_cm.work) == (25_081, 69_270)
+        assert bulk_cm.work < inc_cm.work
 
 
 @settings(max_examples=25, deadline=None)

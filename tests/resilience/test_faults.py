@@ -23,7 +23,7 @@ class TestFaultSpec:
 
     def test_catalogue_covers_all_layers(self):
         prefixes = {site.split(".")[0] for site in SITES}
-        assert prefixes == {"tokens", "bundles", "pbst", "hashtable"}
+        assert prefixes == {"tokens", "bundles", "hashtable"}
 
 
 class TestInjector:
@@ -110,11 +110,8 @@ class TestActions:
 class TestSiteCoverage:
     def test_substrate_sites_reachable(self):
         from repro.hashtable.batch_table import BatchHashTable
-        from repro.pbst.batch_set import BatchOrderedSet
 
         for site, trigger in [
-            ("pbst.batch_insert", lambda: BatchOrderedSet(items=[1, 2])),
-            ("pbst.batch_delete", lambda: BatchOrderedSet(items=[1]).batch_delete([1])),
             ("hashtable.batch_set", lambda: BatchHashTable(items={1: 2})),
             (
                 "hashtable.batch_delete",

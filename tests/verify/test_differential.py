@@ -50,14 +50,6 @@ class TestRunDiff:
         # rung-skip answers matched (report is green) but does less work
         assert report.cost_totals["rung-skip"][0] <= report.cost_totals["serial"][0]
 
-    def test_green_with_flat_substrate(self):
-        ops = streams.churn(14, steps=6, batch_size=4, seed=4)
-        panel = configs_by_name(["serial", "flat"])
-        report = run_diff(ops, configs=panel, eps=0.4, constants=SMALL,
-                          seed=4, n=14)
-        assert report.ok, report.render()
-        assert report.cost_totals["flat"] == report.cost_totals["serial"]
-
     def test_chaos_recovered_matches_baseline_answers(self):
         ops = streams.churn(14, steps=10, batch_size=4, seed=6)
         panel = configs_by_name(["serial", "chaos-recovered"])
