@@ -5,7 +5,7 @@ the hardness literature says are hard, at scales that do not fit the
 comfortable in-memory path.
 
 * **Soak table** — every catalog adversary (docs/SCENARIOS.md) runs
-  through fault-injected chaos trials *and* the four-config differential
+  through fault-injected chaos trials *and* the three-config differential
   panel at CI scale; the verdict must be GREEN across the board, with
   the recovery-tier usage and per-scenario peak traced memory recorded.
 * **Out-of-core table** — the ``sliding-window-churn`` adversary at the
@@ -241,7 +241,7 @@ def run_experiment() -> Experiment:
         table=soak_table + "\n\n" + ooc_table,
         conclusion=(
             f"every catalog adversary comes back GREEN through both the "
-            f"chaos trials and the four-config differential panel at "
+            f"chaos trials and the three-config differential panel at "
             f"{SOAK_SCALE} scale (top table) — including hint-misestimation, "
             f"whose BALANCED(H) runs at a deliberately wrong hint and "
             f"degrades in cost, never correctness.  Out-of-core (bottom "

@@ -19,9 +19,9 @@ loops statically in the cost-scoped packages:
   / ``update_batch`` / ``apply_ops``): route it through the executor.
 
 Read-only sweeps (``check_invariants``, snapshot capture) and index loops
-that merely *build* tasks are fine and not flagged.  The deliberate
-sequential replay in ``RungLadder.flush_all_pending`` carries an inline
-``# reprolint: disable=REP-P001`` with its justification.
+that merely *build* tasks are fine and not flagged.  A deliberately
+sequential loop would carry an inline ``# reprolint: disable=REP-P001``
+with its justification; no code in ``src/`` needs one.
 
 A second rule polices the *per-iteration cost* of those same hot loops
 (docs/PERFORMANCE.md, the storage-layout story):

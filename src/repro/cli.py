@@ -54,7 +54,7 @@ import threading
 from typing import Optional, Sequence
 
 from .baselines import core_numbers, exact_density, greedy_peeling_density
-from .config import Constants, ExecConfig
+from .config import Constants
 from .core import CorenessDecomposition, DensityEstimator
 from .graphs import DynamicGraph, generators, streams
 from .graphs.tracefile import (
@@ -114,33 +114,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _exec_config(args) -> ExecConfig:
-    """The execution configuration the CLI flags describe."""
-    return ExecConfig(rung_skip=bool(getattr(args, "rung_skip", False)))
-
-
 def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
-    rung_skip = bool(getattr(args, "rung_skip", False))
     structures: list[tuple[str, object]] = []
     if args.mode in ("coreness", "both"):
         structures.append(
-            (
-                "coreness",
-                CorenessDecomposition(
-                    n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip,
-                ),
-            )
+            ("coreness", CorenessDecomposition(n, eps=args.eps, cm=cm, constants=CONSTANTS))
         )
     if args.mode in ("density", "both"):
         structures.append(
-            (
-                "density",
-                DensityEstimator(
-                    n, eps=args.eps, cm=cm, constants=CONSTANTS,
-                    rung_skip=rung_skip,
-                ),
-            )
+            ("density", DensityEstimator(n, eps=args.eps, cm=cm, constants=CONSTANTS))
         )
     if not structures:
         raise SystemExit(f"unknown mode {args.mode!r}")
@@ -453,7 +435,7 @@ def cmd_scenarios(args) -> int:
     """Drive the adversarial scenario engine (docs/SCENARIOS.md).
 
     Default: soak the catalog (or ``--scenario NAME``) through chaos
-    fault injection and/or the four-config differential panel at the
+    fault injection and/or the three-config differential panel at the
     chosen ``--scale``; exit 0 iff every verdict is GREEN.
     ``--trace-out PATH`` instead spills one scenario's stream to a
     sealed trace file *out-of-core* — the stream is drained straight
@@ -714,7 +696,6 @@ def cmd_verify(args) -> int:
         H=args.height,
         constants=CONSTANTS,
         deep_every=args.deep_every,
-        exec_config=_exec_config(args),
     )
     print(report.render())
     return 0 if report.ok else 1
@@ -808,12 +789,6 @@ def cmd_verify_diff(args) -> int:
     return 1
 
 
-def _add_exec_args(sub: argparse.ArgumentParser) -> None:
-    """Execution flags shared by ``run``, ``profile`` and ``verify``."""
-    sub.add_argument("--rung-skip", action="store_true",
-                     help="defer provably-unaffected ladder rungs (perf opt)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser with all subcommands attached."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -853,7 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--metrics-linger", type=float, default=0.0, metavar="SEC",
                    help="keep the --serve-metrics server up SEC seconds "
                         "after the replay so scrapers can still reach it")
-    _add_exec_args(r)
     r.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -874,7 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the metrics registry as Prometheus text")
     p.add_argument("--check", action="store_true",
                    help="replay disarmed too; fail on any work/depth/counter drift")
-    _add_exec_args(p)
     p.set_defaults(func=cmd_profile)
 
     e = sub.add_parser("exact", help="exact offline measures of a trace's final graph")
@@ -891,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--replay", metavar="ARTIFACT",
                    help="re-run a minimized repro artifact; exit 0 iff it "
                         "still reproduces the recorded failure")
-    _add_exec_args(v)
     v.set_defaults(func=cmd_verify)
     v_sub = v.add_subparsers(dest="verify_cmd")
     d = v_sub.add_parser(
@@ -911,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="audit the baseline vs the exact oracles every N batches")
     d.add_argument("--configs", metavar="A,B,...",
                    help="comma-separated panel (default: serial, telemetry, "
-                        "rung-skip, chaos-recovered)")
+                        "chaos-recovered)")
     d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")

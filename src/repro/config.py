@@ -87,29 +87,6 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
-@dataclass(frozen=True)
-class ExecConfig:
-    """Execution configuration for the ladder sweeps.
-
-    Orthogonal to :class:`Constants` (which shape the *answers*): these
-    knobs only change how the independent rung sweeps are filtered,
-    never what any query returns.  The default — no filtering —
-    reproduces the historical inline loops bit-for-bit; ``rung_skip``
-    defers provably unaffected rungs (docs/PERFORMANCE.md).  The CLI maps
-    ``--rung-skip`` onto this.
-
-    Attributes
-    ----------
-    rung_skip:
-        Enable rung-relevance filtering (degree-bound skip certificates).
-    """
-
-    rung_skip: bool = False
-
-
-DEFAULT_EXEC = ExecConfig()
-
-
 def check_eps(eps: float) -> float:
     """Validate an approximation parameter.
 

@@ -10,10 +10,9 @@ rung whose estimate drops below its hint.  The sandwich
 gives the ``4 + eps``-approximation
 ``core_ALG(v) in [(1/2 - eps) core(v), (2 + eps) core(v)]`` w.h.p.
 
-Rung sweeps run as one cost-model parallel region and optionally skip
-provably-unaffected rungs; queries binary-search the saturation-monotone
-ladder and memoise per vertex (see :mod:`repro.core.ladder` and
-docs/PERFORMANCE.md).
+Every batch sweeps every rung as one cost-model parallel region;
+queries binary-search the saturation-monotone ladder and memoise per
+vertex (see :mod:`repro.core.ladder` and docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ from .ladder import RungLadder
 class CorenessDecomposition(RungLadder, Transactional):
     """Batch-dynamic ``(4 + eps)``-approximate coreness for all vertices."""
 
-    # insert/delete_batch charge the O(|batch|) dispatch themselves.
-    _dispatch_precharged = True
-
     def __init__(
         self,
         n: int,
@@ -41,7 +37,6 @@ class CorenessDecomposition(RungLadder, Transactional):
         constants: Constants = DEFAULT_CONSTANTS,
         seed: int = 0,
         h_max: Optional[int] = None,
-        rung_skip: bool = False,
     ) -> None:
         self.n = n
         self.eps = check_eps(eps)
@@ -57,7 +52,7 @@ class CorenessDecomposition(RungLadder, Transactional):
             for i, H in enumerate(self.heights)
         ]
         self._touched: set[int] = set()
-        self._init_ladder(rung_skip)
+        self._init_ladder()
 
     # -- updates (the rungs are independent — the parallel ladder) -------------
 
@@ -86,10 +81,8 @@ class CorenessDecomposition(RungLadder, Transactional):
     # -- queries ---------------------------------------------------------------
 
     def _rung_unsaturated(self, i: int, v: int) -> bool:
-        """Is rung ``i`` unsaturated at ``v``?  Deferred rungs provably are."""
+        """Is rung ``i`` unsaturated at ``v``?"""
         self.cm.tick()  # one rung probe (queries are charged per probe)
-        if self.rung_skip and not self._live[i]:
-            return True
         return self.rungs[i].estimate(v) < self.heights[i]
 
     def _compute_estimate(self, v: int) -> float:

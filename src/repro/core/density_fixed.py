@@ -165,17 +165,6 @@ class FixedHDensityGuard(RungOps):
     def guarantees_low(self) -> bool:
         return self.verdict() == "low"
 
-    def skip_threshold(self) -> int:
-        """Max-degree bound below which the verdict is provably "low".
-
-        Duplication: the inner multigraph out-degree of ``v`` is at most
-        ``K deg(v) < K H`` while the max degree stays below ``H``.
-        Buckets: each bucket's out-degree at ``v`` is bounded by ``v``'s
-        degree inside the bucket, below ``B`` while the max degree is.
-        A batch arriving under this threshold cannot flip the verdict.
-        """
-        return self.H if self.regime == "duplication" else self.B
-
     # -- exported orientation (valid when verdict() == "low") ---------------------------
 
     def out_neighbors(self, v: int) -> list[int]:

@@ -87,11 +87,6 @@ def checkpoint(st: Any) -> dict[str, Any]:
         }
     if isinstance(st, (CorenessDecomposition, DensityEstimator)):
         kind = "coreness" if isinstance(st, CorenessDecomposition) else "density"
-        # Deferred rungs (rung-skip filtering) are brought up to date first:
-        # the payload schema stays purely logical (per-rung arcs + levels),
-        # and a restored ladder — which always comes up serial with
-        # filtering off — needs no queue state.  No-op when skip is off.
-        st.flush_all_pending()
         payload: dict[str, Any] = {
             "type": kind,
             "n": st.n,

@@ -79,23 +79,11 @@ def capture(st: Any) -> Snapshot:
             "inner": capture(st.dup if st.dup is not None else st.bal),
         }
     if hasattr(st, "rungs"):  # CorenessDecomposition / DensityEstimator
-        snap: Snapshot = {
+        return {
             "kind": "ladder",
             "rungs": [capture(rung) for rung in st.rungs],
             "touched": set(st._touched) if hasattr(st, "_touched") else None,
         }
-        if hasattr(st, "_pending"):
-            # rung-skip filtering state: a rolled-back batch must also undo
-            # what it queued on deferred rungs and its degree bookkeeping
-            # (the degree bound stays a sound certificate either way, but
-            # exact restore keeps skip decisions replay-identical).
-            snap["skip"] = {
-                "pending": [list(queue) for queue in st._pending],
-                "live": list(st._live),
-                "deg": dict(st._deg),
-                "deg_bound": st._deg_bound,
-            }
-        return snap
     if hasattr(st, "guard"):  # LowOutDegree
         return {
             "kind": "lowoutdegree",
@@ -134,12 +122,6 @@ def rollback(st: Any, snap: Snapshot) -> None:
             rollback(rung, rung_snap)
         if snap["touched"] is not None:
             st._touched = set(snap["touched"])
-        skip = snap.get("skip")
-        if skip is not None:
-            st._pending = [list(queue) for queue in skip["pending"]]
-            st._live = list(skip["live"])
-            st._deg = dict(skip["deg"])
-            st._deg_bound = skip["deg_bound"]
         if hasattr(st, "_reset_query_caches"):
             # memoised answers may describe the failed batch's state
             st._reset_query_caches()

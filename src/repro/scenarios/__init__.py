@@ -14,7 +14,7 @@ package turns the hardness literature into executable adversaries:
   in docs/SCENARIOS.md;
 * :mod:`repro.scenarios.soak` — every scenario as a first-class soak
   target: fault-injected chaos trials (tiered recovery + ddmin repros)
-  and the full four-config differential panel, driven by the
+  and the full three-config differential panel, driven by the
   ``repro scenarios`` CLI.
 """
 

@@ -8,7 +8,7 @@ two verdict machines the repo already trusts:
   post-recovery audits, optional ddmin minimization + repro artifacts),
   with the BALANCED(H) trials built at the scenario's *suggested* —
   possibly deliberately wrong — height hint;
-* **diff** — the full four-config differential panel
+* **diff** — the full three-config differential panel
   (:func:`~repro.verify.differential.run_diff`) replaying the identical
   stream, with periodic exact-oracle deep audits.
 
@@ -116,7 +116,7 @@ def soak_scenario(
     """Soak one adversarial scenario; returns the aggregate verdict.
 
     ``mode`` picks the machinery: ``chaos`` (fault injection under the
-    adversarial load), ``diff`` (four-config differential panel), or
+    adversarial load), ``diff`` (three-config differential panel), or
     ``both``.  Chaos trials rotate only this scenario's stream
     (``stream_kinds=[name]``) and BALANCED trials run at the scenario's
     suggested height hint — for ``hint-misestimation`` that hint is

@@ -5,7 +5,7 @@ initialised before ``differential``, because ``repro.core``'s compat shim
 re-enters this package while ``repro.core`` itself is still loading):
 
 * :mod:`repro.verify.audits` — absolute audits of one structure against
-  the exact oracles (the old ``core/verify.py``, grown an ``ExecConfig``);
+  the exact oracles (the old ``core/verify.py``);
 * :mod:`repro.verify.minimize` — deterministic ddmin shrinking of failing
   streams, with validity-preserving stream repair;
 * :mod:`repro.verify.differential` — one stream replayed through N named

@@ -12,8 +12,6 @@ verifies structures against *external* ground truth:
   oracle and the flow-optimal orientation;
 * :func:`replay_audit` — replays a batch stream, auditing after every
   batch; used by the CLI's ``verify`` subcommand and the soak tests.
-  Takes an :class:`~repro.config.ExecConfig` so the rung-skip deferred
-  queues are audited too, not just the historical unfiltered loop.
 
 Every function returns an :class:`AuditReport`; ``ok`` is False with a
 list of findings rather than raising, so operators can log everything.
@@ -151,26 +149,19 @@ def replay_audit(
     constants=None,
     audit_every: int = 1,
     deep_every: int = 0,
-    exec_config=None,
 ) -> AuditReport:
     """Replay a stream, auditing the orientation after every batch.
 
     ``deep_every > 0`` additionally audits coreness/density bands every
-    that many batches (expensive: runs the exact oracles).  The ladder
-    structures for those deep audits are built from ``exec_config``
-    (rung-skip filtering), so every execution path — not just the
-    default unfiltered loop — faces the oracles; deferred rungs
-    are flushed before each deep audit so the filtered configuration is
-    judged on the same concrete state a query would materialise.
+    that many batches (expensive: runs the exact oracles).
     """
-    from ..config import DEFAULT_CONSTANTS, DEFAULT_EXEC
+    from ..config import DEFAULT_CONSTANTS
     from ..core.balanced import BalancedOrientation
     from ..core.coreness import CorenessDecomposition
     from ..core.density import DensityEstimator
     from ..graphs.graph import DynamicGraph
 
     constants = constants or DEFAULT_CONSTANTS
-    cfg = exec_config if exec_config is not None else DEFAULT_EXEC
     report = AuditReport("stream replay")
     graph = DynamicGraph(0)
     # size the orientation to the stream if no hint given
@@ -178,12 +169,8 @@ def replay_audit(
     st = BalancedOrientation(H or 5, constants=constants)
     core = dens = None
     if deep_every:
-        core = CorenessDecomposition(
-            n_guess, eps, constants=constants, rung_skip=cfg.rung_skip
-        )
-        dens = DensityEstimator(
-            n_guess, eps, constants=constants, rung_skip=cfg.rung_skip
-        )
+        core = CorenessDecomposition(n_guess, eps, constants=constants)
+        dens = DensityEstimator(n_guess, eps, constants=constants)
     for i, op in enumerate(ops):
         if op.kind == "insert":
             graph.insert_batch(op.edges)
@@ -204,8 +191,6 @@ def replay_audit(
                 report.merge(sub)
         if deep_every and i % deep_every == deep_every - 1:
             with _trace.span("verify.audit", detail={"batch": i}):
-                core.flush_all_pending()
-                dens.flush_all_pending()
                 sub = audit_coreness(core, graph)
                 if not sub.ok:
                     sub.subject += f" (batch {i})"

@@ -1,10 +1,10 @@
 """Differential replay: one stream, N execution configurations, zero drift.
 
-The repo carries several execution paths that must agree — rung-skip
-filtering on vs off, telemetry armed vs disarmed, and a fault-injected
-run recovered by the :class:`~repro.resilience.recovery.RecoveryManager`
-vs a clean run.  Each contract is asserted somewhere in isolation; this
-module asserts them *together*: replay one :class:`BatchOp` stream
+The repo carries several execution paths that must agree — telemetry
+armed vs disarmed, and a fault-injected run recovered by the
+:class:`~repro.resilience.recovery.RecoveryManager` vs a clean run.
+Each contract is asserted somewhere in isolation; this module asserts
+them *together*: replay one :class:`BatchOp` stream
 through every named :class:`RunnerConfig` and diff the per-batch outputs
 (coreness estimates, density/arboricity answers, the exported
 orientation, invariant health, and — within a *cost class* — the cost
@@ -12,12 +12,12 @@ model's work/depth/counters) against the baseline configuration, plus
 optional deep audits of the baseline against the exact oracles in
 ``baselines/``.
 
-Answers must match across **all** configurations: the rung-skip
-certificate, the telemetry never-perturbs guarantee and the tier-1/2
-recovery determinism all promise bit-identical query results.  Cost
-totals are only contractual within a cost class (``cost_class="exact"``
-for serial/telemetry; rung-skip and chaos change cost *by design*, so
-they opt out with ``cost_class=None``).
+Answers must match across **all** configurations: the telemetry
+never-perturbs guarantee and the tier-1/2 recovery determinism both
+promise bit-identical query results.  Cost totals are only contractual
+within a cost class (``cost_class="exact"`` for serial/telemetry; chaos
+recovery re-runs work *by design*, so it opts out with
+``cost_class=None``).
 
 On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
 minimizer to a minimal repro; :mod:`repro.verify.artifact` serialises it
@@ -57,7 +57,6 @@ class RunnerConfig:
     """
 
     name: str
-    rung_skip: bool = False
     telemetry: bool = False
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
@@ -66,7 +65,6 @@ class RunnerConfig:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "rung_skip": self.rung_skip,
             "telemetry": self.telemetry,
             "recovery": self.recovery,
             "faults": [list(f) for f in self.faults],
@@ -75,12 +73,15 @@ class RunnerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunnerConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are ignored (artifacts
-        written while the storage layout was selectable carry a
-        ``"substrate"`` key)."""
+        """Inverse of :meth:`to_dict`; unknown keys are ignored.
+
+        Older artifacts carry a ``"substrate"`` key from when the storage
+        layout was selectable, and a flag for the removed opt-in deferral
+        of ladder rungs.  Members that set either replay on the one
+        remaining path, which gives the same answers.
+        """
         return cls(
             name=str(d["name"]),
-            rung_skip=bool(d.get("rung_skip", False)),
             telemetry=bool(d.get("telemetry", False)),
             recovery=bool(d.get("recovery", False)),
             faults=tuple(
@@ -100,7 +101,6 @@ def default_configs() -> list[RunnerConfig]:
     return [
         RunnerConfig("serial"),
         RunnerConfig("telemetry", telemetry=True),
-        RunnerConfig("rung-skip", rung_skip=True, cost_class=None),
         RunnerConfig(
             "chaos-recovered",
             recovery=True,
@@ -199,12 +199,10 @@ class _ConfigRun:
         self.dead_reported = False
         self.diverged = False
         self.core = CorenessDecomposition(
-            n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip,
+            n, eps, cm=self.cm, constants=constants, seed=seed
         )
         self.dens = DensityEstimator(
-            n, eps, cm=self.cm, constants=constants, seed=seed,
-            rung_skip=cfg.rung_skip,
+            n, eps, cm=self.cm, constants=constants, seed=seed
         )
         self.injector = None
         if cfg.faults:
@@ -390,8 +388,6 @@ def _deep_audit(
     if base.error is not None:
         return
     with _trace.span("verify.audit", detail={"batch": i}):
-        base.core.flush_all_pending()
-        base.dens.flush_all_pending()
         for sub in (
             audit_coreness(base.core, graph),
             audit_density(base.dens, graph),

@@ -72,8 +72,8 @@ def test_p001_silent_on_task_building_loop():
 
 def test_p001_respects_suppression():
     suppressed = """
-        def flush_all_pending(self):
-            '''Materialise deferred rungs for a checkpoint.'''
+        def replay_in_order(self):
+            '''Replay queued batches one rung at a time.'''
             self.cm.tick()
             for i in range(len(self.rungs)):  # reprolint: disable=REP-P001
                 self.rungs[i].apply_ops(self.pending[i])

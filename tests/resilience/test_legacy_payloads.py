@@ -86,13 +86,19 @@ def test_balanced_snapshot_restores_identically():
 
 
 def test_diff_artifact_replays_green():
-    """The old panel, ``flat`` member included, replays without divergence."""
+    """The old panel, ``flat`` and ``rung-skip`` members included, replays
+    without divergence."""
     configs = read_artifact(FIXTURE / "diff_artifact.json")["configs"]
     assert {c["substrate"] for c in configs} == {"treap", "flat"}
-    assert [RunnerConfig.from_dict(c).name for c in configs][:3] == [
+    assert [c["name"] for c in configs if c["rung_skip"]] == ["rung-skip"]
+    assert [RunnerConfig.from_dict(c).name for c in configs] == [
         "serial",
         "telemetry",
         "flat",
+        "rung-skip",
+        "chaos-recovered",
     ]
     reproduced, report = replay_artifact(FIXTURE / "diff_artifact.json")
     assert not reproduced, report
+    assert report.startswith("differential replay [GREEN]")
+    assert "cost[rung-skip]" in report
