@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
-import pathlib
 import sys
 import threading
 from typing import Optional, Sequence
@@ -67,6 +65,7 @@ from .graphs.tracefile import (
 from .instrument import BatchTimer, CostModel, render_table
 from .instrument import trace as _trace
 from .instrument.export import (
+    BENCH_NAME,
     JsonlSink,
     bench_payload,
     prometheus_text,
@@ -314,6 +313,11 @@ def cmd_profile(args) -> int:
     differs — the tracing-never-perturbs-the-cost-model guarantee,
     enforced end to end.
     """
+    if not BENCH_NAME.fullmatch(args.name):
+        raise SystemExit(
+            f"error: --name {args.name!r} is not a plain file stem "
+            "(letters, digits, '.', '_', '-'; no leading dot)"
+        )
     ops = read_trace(args.trace)
     n = max(validate_trace(ops), 2)
 
@@ -566,95 +570,6 @@ def cmd_serve(args) -> int:
             server.close()
     print("coreness service drained and stopped", file=sys.stderr)
     return 0
-
-
-def _load_bench_file(path: str) -> dict:
-    """Read one ``BENCH_*.json`` payload (SystemExit on garbage)."""
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"bench: cannot read {path}: {exc}")
-    if not isinstance(payload, dict):
-        raise SystemExit(f"bench: {path} is not a JSON object")
-    return payload
-
-
-def cmd_bench(args) -> int:
-    """Bench history: record runs, render trends, gate regressions.
-
-    ``--record FILE...`` appends BENCH payloads into the history store
-    (``--history-dir``, default ``.bench_history/``), keyed by
-    (experiment, ``--config``, git sha).  ``--trend`` renders per-metric
-    sparkline trends from the store.  ``--compare BASELINE`` gates
-    ``--current`` payloads against a baseline file (or a directory of
-    committed ``BENCH_*.json``), exiting 1 when wall-clock or peak-memory
-    regresses beyond the noise threshold estimated from repeated-run
-    variance (override with ``--threshold``).
-    """
-    from .instrument.history import BenchHistory, render_trend
-
-    history = BenchHistory(args.history_dir)
-    if args.record:
-        for path in args.record:
-            record = history.append(_load_bench_file(path), config=args.config)
-            print(
-                f"recorded {record['experiment']} @ {record['git_sha']} "
-                f"({len(record['metrics'])} gated metrics)"
-            )
-        if not (args.trend or args.compare):
-            return 0
-    if args.trend:
-        text = render_trend(
-            history, experiment=args.experiment, metric=args.metric
-        )
-        print(text)
-        if args.out:
-            pathlib.Path(args.out).write_text(text + "\n")
-            print(f"wrote trend table to {args.out}")
-        if not args.compare:
-            return 0
-    if args.compare:
-        if not args.current:
-            raise SystemExit("bench: --compare requires --current FILE...")
-        base_path = pathlib.Path(args.compare)
-        regressions = []
-        for path in args.current:
-            current = _load_bench_file(path)
-            if base_path.is_dir():
-                candidate = base_path / f"BENCH_{current.get('name', '?')}.json"
-                if not candidate.is_file():
-                    print(f"no baseline for {current.get('name')}; skipping")
-                    continue
-                baseline = _load_bench_file(str(candidate))
-            else:
-                baseline = _load_bench_file(str(base_path))
-            found = history.compare(
-                baseline, current, config=args.config, threshold=args.threshold
-            )
-            gated = [
-                m for m in sorted(set(history_metrics(baseline)))
-                if m in history_metrics(current)
-            ]
-            name = current.get("name", path)
-            if found:
-                for reg in found:
-                    print("REGRESSION " + reg.describe())
-            else:
-                print(f"{name}: {len(gated)} gated metric(s) within threshold")
-            regressions.extend(found)
-        if regressions:
-            print(f"\n{len(regressions)} regression(s) past the noise gate")
-            return 1
-        print("\nno regressions")
-        return 0
-    raise SystemExit("bench: nothing to do (use --record, --trend, or --compare)")
-
-
-def history_metrics(payload: dict) -> dict:
-    """The gated metrics of one payload (re-exported for cmd_bench)."""
-    from .instrument.history import extract_metrics
-
-    return extract_metrics(payload)
 
 
 def cmd_lint(args) -> int:
@@ -981,35 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="expose per-tenant service metrics as Prometheus "
                          "text (PORT 0 = ephemeral; the bound URL is printed)")
     sv.set_defaults(func=cmd_serve)
-
-    b = sub.add_parser(
-        "bench",
-        help="bench history: record runs, sparkline trends, regression gates",
-    )
-    b.add_argument("--history-dir", default=".bench_history", metavar="DIR",
-                   help="the append-only JSONL history store")
-    b.add_argument("--config", default="default",
-                   help="config label the records are keyed under")
-    b.add_argument("--record", nargs="+", metavar="FILE",
-                   help="append BENCH_*.json payload(s) to the store")
-    b.add_argument("--trend", action="store_true",
-                   help="render per-metric trend tables with sparklines")
-    b.add_argument("--experiment", metavar="NAME",
-                   help="restrict --trend to one experiment")
-    b.add_argument("--metric", metavar="NAME",
-                   help="restrict --trend to one (dotted-path) metric")
-    b.add_argument("--out", metavar="PATH",
-                   help="also write the --trend table to PATH (CI artifact)")
-    b.add_argument("--compare", metavar="BASELINE",
-                   help="gate --current payloads against a baseline BENCH "
-                        "file (or a directory of committed ones); exit 1 on "
-                        "wall-clock / peak-memory regression")
-    b.add_argument("--current", nargs="+", metavar="FILE",
-                   help="the freshly measured BENCH_*.json payload(s)")
-    b.add_argument("--threshold", type=float, default=None,
-                   help="relative regression threshold (default: estimated "
-                        "from repeated-run variance in the history store)")
-    b.set_defaults(func=cmd_bench)
 
     lint = sub.add_parser(
         "lint",

@@ -7,10 +7,9 @@
   layer (docs/OBSERVABILITY.md): phase-scoped spans attributing cost-model
   deltas to a game → round → rung tree, a process-wide metrics registry,
   and JSONL / Prometheus / fixed-width-report / BENCH-json sinks.
-* :mod:`.wallclock` / :mod:`.history` / :mod:`.live` — the wall-clock
-  observatory: the process-wide mockable Tracer clock, the bench-history
-  store with regression gates (``repro bench``), and the live terminal
-  dashboard / Prometheus HTTP endpoint (``repro run --live``).
+* :mod:`.wallclock` / :mod:`.live` — the wall-clock observatory: the
+  process-wide mockable Tracer clock, and the live terminal dashboard /
+  Prometheus HTTP endpoint (``repro run --live``).
 """
 
 from .brent import BrentPoint, parallelism, project, saturation_processors
@@ -25,7 +24,6 @@ from .export import (
     validate_bench_payload,
     write_bench_json,
 )
-from .history import BenchHistory, Regression, extract_metrics, render_trend
 from .live import LiveDashboard, MetricsServer, serve_metrics
 from .metrics import (
     BatchRecord,
@@ -51,7 +49,6 @@ from .work_depth import CostModel, NullCostModel, ParallelRegion, Snapshot
 __all__ = [
     "BatchRecord",
     "BatchTimer",
-    "BenchHistory",
     "BrentPoint",
     "CostModel",
     "Counter",
@@ -66,14 +63,12 @@ __all__ = [
     "ParallelRegion",
     "REGISTRY",
     "RecoveryStats",
-    "Regression",
     "SPAN_TAXONOMY",
     "Series",
     "Snapshot",
     "SpanNode",
     "Tracer",
     "bench_payload",
-    "extract_metrics",
     "mocked_clock",
     "monotonic",
     "parallelism",
@@ -86,7 +81,6 @@ __all__ = [
     "render_phase_tree",
     "render_series",
     "render_table",
-    "render_trend",
     "saturation_processors",
     "serve_metrics",
     "span",

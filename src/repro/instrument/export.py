@@ -373,6 +373,11 @@ def bench_payload(
     return payload
 
 
+#: A BENCH ``name`` becomes ``BENCH_<name>.json``, so it must be a plain file
+#: stem: no path separators, no leading dot.
+BENCH_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
 def validate_bench_payload(payload: Any) -> list[str]:
     """Schema check for one BENCH payload; returns the problems found."""
     problems: list[str] = []
@@ -397,6 +402,9 @@ def validate_bench_payload(payload: Any) -> list[str]:
         problems.append("depth is not a dict")
     if "phase_shares" in payload and not isinstance(payload["phase_shares"], dict):
         problems.append("phase_shares is not a dict")
+    name = payload.get("name")
+    if "name" in payload and not (isinstance(name, str) and BENCH_NAME.fullmatch(name)):
+        problems.append(f"name {name!r} is not a plain file stem")
     return problems
 
 
@@ -415,6 +423,7 @@ def write_bench_json(
 
 
 __all__ = [
+    "BENCH_NAME",
     "JsonlSink",
     "METRIC_HELP",
     "REQUIRED_BENCH_KEYS",

@@ -1,6 +1,7 @@
 """Sinks and exports: JSONL, Prometheus text, phase tree, BENCH files."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.instrument.metrics import BatchTimer
 from repro.instrument.telemetry import MetricsRegistry, Tracer
 from repro.instrument.work_depth import CostModel
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
+COMMITTED_BENCH = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 def small_run(sink=None):
     cm = CostModel()
@@ -218,3 +221,19 @@ class TestBench:
     def test_write_rejects_invalid_payload(self, tmp_path):
         with pytest.raises(ParameterError):
             write_bench_json(tmp_path, {"name": "broken"})
+
+    @pytest.mark.parametrize("name", ["../../x", "a/b", ".hidden", "", "x y", 7])
+    def test_write_rejects_name_that_is_not_a_file_stem(self, tmp_path, name):
+        payload = bench_payload("smoke", self.make_series())
+        payload["name"] = name
+        assert any("name" in p for p in validate_bench_payload(payload))
+        with pytest.raises(ParameterError, match="plain file stem"):
+            write_bench_json(tmp_path / "out", payload)
+        assert not (tmp_path / "out").exists()
+
+    def test_repo_root_has_committed_bench_files(self):
+        assert len(COMMITTED_BENCH) >= 3, COMMITTED_BENCH
+
+    @pytest.mark.parametrize("path", COMMITTED_BENCH, ids=lambda p: p.name)
+    def test_committed_bench_file_is_valid(self, path):
+        assert validate_bench_payload(json.loads(path.read_text())) == []

@@ -74,6 +74,21 @@ class TestProfile:
         samples = parse_prometheus(prom.read_text())
         assert samples[("repro_work_total", ())] == payload["total_work"]
 
+    def test_bad_name_is_rejected_before_replay(self, tmp_path, capsys):
+        # The trace does not exist: a rejection that came after the replay
+        # would surface as a TraceError/OSError, not this one-line exit.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "profile", "--trace", str(tmp_path / "missing.txt"),
+                    "--name", "../../x", "--bench-out", str(tmp_path / "d"),
+                ]
+            )
+        message = str(exc.value.code)
+        assert "--name '../../x' is not a plain file stem" in message
+        assert "\n" not in message
+        assert not (tmp_path / "d").exists()
+
     def test_telemetry_jsonl(self, trace_path, tmp_path):
         log = tmp_path / "events.jsonl"
         rc = main(
