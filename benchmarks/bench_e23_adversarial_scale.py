@@ -107,7 +107,6 @@ def out_of_core(batches: int) -> dict:
             BalancedOrientation(H, cm=cm, constants=CONSTANTS),
             checkpoint_every=100,
             audit_every=25,
-            bounded_history=True,
         )
         injector = FaultInjector.plan(
             seed=23,

@@ -17,9 +17,9 @@ Sealed traces end with an integrity footer::
 covering every byte before it.  :func:`read_trace` verifies the footer
 when present (truncated or corrupt files raise
 :class:`~repro.errors.TraceError`) and tolerates its absence for
-hand-written traces; ``strict=True`` demands it — the mode the recovery
-manager uses for its write-ahead log, where a torn tail must never be
-replayed silently.  :class:`TraceWriter` appends batches incrementally
+hand-written traces; ``strict=True`` demands it — for consumers that
+must never replay a torn stream silently (the out-of-core replays of
+``repro run`` and E23).  :class:`TraceWriter` appends batches incrementally
 (flushing each line, WAL-style) and writes the footer on ``close``.
 
 Two reading disciplines:
@@ -91,15 +91,13 @@ class TraceWriter:
     torn log.  :meth:`close` seals the file with the integrity footer.
 
     ``append=True`` resumes an existing trace instead of truncating it —
-    the service-restart move.  A *sealed* trace is detected on open: with
-    ``unseal=True`` (the default) the footer is verified, stripped, and
-    the CRC/batch count resumed so later batches extend the body
-    seamlessly; with ``unseal=False`` the writer refuses with a
-    :class:`~repro.errors.TraceError` rather than ever writing batches
-    after a footer (which the readers would misparse as trailing
-    garbage).  An *unsealed* existing file (a crashed writer's log)
-    resumes in place.  ``sync=True`` additionally ``fsync``s after every
-    batch — the durability level an ingest ack promises.
+    the service-restart move.  A *sealed* trace has its footer verified
+    exactly as :func:`read_trace` does, then stripped, and the CRC/batch
+    count resumed so later batches extend the body seamlessly (a corrupt
+    one raises :class:`~repro.errors.TraceError` untouched).  An
+    *unsealed* existing file (a crashed writer's log) resumes in place.
+    ``sync=True`` additionally ``fsync``s after every batch — the
+    durability level an ingest ack promises.
     """
 
     def __init__(
@@ -107,7 +105,6 @@ class TraceWriter:
         path: str | pathlib.Path,
         *,
         append: bool = False,
-        unseal: bool = True,
         sync: bool = False,
     ) -> None:
         self.path = pathlib.Path(path)
@@ -115,37 +112,15 @@ class TraceWriter:
         self._crc = 0
         self.batches = 0
         if append and self.path.exists() and self.path.stat().st_size > 0:
-            self._resume(unseal)
+            self._resume()
         else:
             self._fh = open(self.path, "w")
 
-    def _resume(self, unseal: bool) -> None:
+    def _resume(self) -> None:
         """Resume an existing trace file (stripping a verified footer)."""
         text = self.path.read_bytes().decode()
         body, sealed = _split_footer(text, self.path)
-        if sealed is not None:
-            if not unseal:
-                raise TraceError(
-                    f"{self.path}: trace is sealed — appending after the "
-                    "integrity footer would corrupt it (reopen with "
-                    "unseal=True to strip the footer and resume, or start "
-                    "a fresh file)"
-                )
-            expected_batches, expected_crc = sealed
-            if zlib.crc32(body.encode()) != expected_crc:
-                raise TraceError(
-                    f"{self.path}: body CRC-32 does not match the footer — "
-                    "refusing to unseal a corrupt trace"
-                )
-        count = 0
-        for lineno, raw in enumerate(body.splitlines(), 1):
-            if _parse_body_line(raw, self.path, lineno) is not None:
-                count += 1
-        if sealed is not None and count != sealed[0]:
-            raise TraceError(
-                f"{self.path}: footer promises {sealed[0]} batches but the "
-                f"body holds {count} — refusing to unseal a corrupt trace"
-            )
+        count = len(_parse_body(body, sealed, self.path))
         if sealed is not None:
             # The footer is strictly a suffix of the file, so stripping
             # it is a single in-place truncate — never a truncate-to-zero
@@ -257,8 +232,19 @@ def read_trace(path: str | pathlib.Path, strict: bool = False) -> list[BatchOp]:
             f"{path}: missing end-of-trace footer — the trace was never "
             "sealed (torn write-ahead log?) or predates the footer format"
         )
+    return _parse_body(body, sealed, path)
+
+
+def _parse_body(
+    body: str, sealed: Optional[tuple[int, int]], path: object
+) -> list[BatchOp]:
+    """Parse a trace body, verifying it against its footer when sealed.
+
+    The CRC is checked before any line parses, so a corrupt body raises
+    :class:`~repro.errors.TraceError` rather than a parse error.
+    """
     if sealed is not None:
-        expected_batches, expected_crc = sealed
+        expected_crc = sealed[1]
         actual_crc = zlib.crc32(body.encode())
         if actual_crc != expected_crc:
             raise TraceError(
@@ -381,29 +367,11 @@ def scan_trace(path: str | pathlib.Path, strict: bool = False) -> TraceInfo:
     is.  Returns the stream's shape for callers (``repro run``) that
     previously materialised the whole trace just to size the structures.
     """
-    live: set = set()
-    top = 0
-    batches = 0
-    updates = 0
-    high = 0
-    for i, op in enumerate(iter_trace(path, strict=strict)):
-        seen_in_batch = set()
-        for e in op.edges:
-            if e in seen_in_batch:
-                raise BatchError(f"batch {i}: duplicate edge {e}")
-            seen_in_batch.add(e)
-            top = max(top, e[1] + 1)
-            if op.kind == "insert":
-                if e in live:
-                    raise BatchError(f"batch {i}: inserting live edge {e}")
-                live.add(e)
-            else:
-                if e not in live:
-                    raise BatchError(f"batch {i}: deleting absent edge {e}")
-                live.remove(e)
+    top = batches = updates = high = 0
+    for op, top, live in _replay_checked(iter_trace(path, strict=strict)):
         batches += 1
         updates += op.size
-        high = max(high, len(live))
+        high = max(high, live)
     return TraceInfo(
         vertices=top, batches=batches, edge_updates=updates, max_live_edges=high
     )
@@ -432,8 +400,7 @@ def recover_trace(path: str | pathlib.Path) -> tuple[list[BatchOp], int]:
     text = data.decode()
     body, sealed = _split_footer(text, path)
     if sealed is not None:
-        # sealed: delegate the full verification to read_trace.
-        return read_trace(path, strict=True), len(data)
+        return _parse_body(body, sealed, path), len(data)
     lines = text.splitlines(keepends=True)
     # a final line without its newline is a torn write: never acked.
     if lines and not lines[-1].endswith("\n"):
@@ -478,6 +445,19 @@ def validate_trace(ops: Sequence[BatchOp]) -> int:
     Returns the number of vertices mentioned.  Raises BatchError on the
     first inconsistent batch.
     """
+    top = 0
+    for _op, top, _live in _replay_checked(ops):
+        pass
+    return top
+
+
+def _replay_checked(ops: Iterable[BatchOp]) -> Iterator[tuple[BatchOp, int, int]]:
+    """Replay ``ops`` against a live-edge set, yielding after each batch.
+
+    Yields ``(op, vertices mentioned so far, live edges now)``; raises
+    BatchError on an in-batch duplicate, an insert of a live edge or a
+    delete of an absent one.
+    """
     live: set = set()
     top = 0
     for i, op in enumerate(ops):
@@ -495,4 +475,4 @@ def validate_trace(ops: Sequence[BatchOp]) -> int:
                 if e not in live:
                     raise BatchError(f"batch {i}: deleting absent edge {e}")
                 live.remove(e)
-    return top
+        yield op, top, len(live)

@@ -21,13 +21,10 @@ sequentially.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence
 
 from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 @dataclass
@@ -58,10 +55,6 @@ def _run_task(task: RungTask) -> None:
 
 class SerialExecutor:
     """Run a sweep's independent units in-process, sequentially."""
-
-    def map(self, fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-        with _trace.span("pram.map", detail={"items": len(items)}, backend="serial"):
-            return [fn(item) for item in items]
 
     def run_structures(self, cm: CostModel, tasks: Sequence[RungTask]) -> None:
         """Run every task as one branch of a single parallel region.

@@ -11,10 +11,12 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
   safety).
 * :mod:`~repro.resilience.checkpoint` — logical checkpoints (JSON-able)
   for the full ladder structures, extending ``core/snapshot.py`` beyond
-  the single orientation, so restart = restore + replay the trace suffix.
-* :mod:`~repro.resilience.recovery` — the tiered
+  the single orientation; the service tenant
+  (:class:`~repro.service.state.TenantShard`) restarts by restoring one
+  and replaying its write-ahead log's suffix.
+* :mod:`~repro.resilience.recovery` — the tiered, in-memory
   :class:`~repro.resilience.recovery.RecoveryManager`: rollback →
-  checkpoint + WAL replay → full rebuild, recording which tier fired.
+  checkpoint + suffix replay → full rebuild, recording which tier fired.
 * :mod:`~repro.resilience.chaos` — the randomized soak harness behind
   ``repro chaos`` and benchmark E20.
 

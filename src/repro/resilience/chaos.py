@@ -8,8 +8,8 @@ judged by the full post-recovery audits:
 
 * the managed structure's invariants and (for an orientation) its arc
   set against the ground-truth graph;
-* a fault-free :func:`~repro.core.verify.replay_audit` of the committed
-  history (orientation trials);
+* a fault-free :func:`~repro.verify.audits.replay_audit` of the
+  committed batches (orientation trials);
 * the coreness/density approximation bands against the exact oracles
   (ladder trials).
 
@@ -153,7 +153,7 @@ def run_trial(
     """One chaos trial, start to verdict: build, inject, recover, audit.
 
     Returns the findings (empty means the trial is green) and the
-    :class:`RecoveryManager` for its stats/history.  Deterministic given
+    :class:`RecoveryManager` for its stats.  Deterministic given
     ``(structure, ops, injector specs+seed, params)`` — the minimizer and
     ``repro verify --replay`` both rely on re-running this verbatim.
     """
@@ -169,7 +169,10 @@ def run_trial(
             except RecoveryError as exc:
                 findings.append(f"{tag}: unrecovered batch: {exc}")
                 break
-    findings.extend(_trial_findings(manager, tag, H, deep_audit))
+    # the manager applies ``ops`` in order from a fresh structure, so its
+    # commit count is exactly the committed prefix
+    committed = ops[: manager.applied]
+    findings.extend(_trial_findings(manager, committed, tag, H, deep_audit))
     return findings, manager
 
 
@@ -367,6 +370,7 @@ def _minimize_and_record(
 
 def _trial_findings(
     manager: RecoveryManager,
+    committed: Sequence[BatchOp],
     tag: str,
     H: int,
     deep_audit: bool,
@@ -378,7 +382,7 @@ def _trial_findings(
         return findings
     st = manager.structure
     if isinstance(st, BalancedOrientation):
-        replay = replay_audit(manager.history, H=H, constants=st.constants)
+        replay = replay_audit(committed, H=H, constants=st.constants)
         if not replay.ok:
             findings.append(f"{tag}: replay audit red: {replay.render()}")
     elif deep_audit:

@@ -11,8 +11,8 @@ inner orientation through the audited ``_arc_add`` funnel.
 
 Together with the write-ahead trace log
 (:class:`~repro.graphs.tracefile.TraceWriter`), restart becomes
-*restore checkpoint + replay the trace suffix*; the
-:class:`~repro.resilience.recovery.RecoveryManager` packages both.
+*restore checkpoint + replay the trace suffix*; the service tenant
+(:class:`~repro.service.state.TenantShard`) packages both.
 
 All malformed-payload errors surface as :class:`~repro.errors.BatchError`
 or :class:`~repro.errors.ParameterError` with a clear message, matching

@@ -39,7 +39,7 @@ from typing import Any, Mapping, Optional
 from ..config import Constants
 from ..core.coreness import CorenessDecomposition
 from ..core.density import DensityEstimator
-from ..errors import BatchError, ParameterError
+from ..errors import BatchError, ParameterError, ReproError
 from ..graphs.graph import DynamicGraph, normalize_batch
 from ..graphs.streams import BatchOp
 from ..graphs.tracefile import TraceWriter, recover_trace
@@ -205,33 +205,38 @@ class TenantShard:
 
     def _recover(self, wal_ops: list[BatchOp]) -> None:
         """Checkpoint restore + WAL-suffix replay (or full replay)."""
-        payload = self._read_checkpoint()
-        position = 0
-        structures: dict[str, Any] = {}
-        if payload is not None and payload["position"] <= len(wal_ops):
-            position = payload["position"]
-            for kind in self._ladder_kinds():
-                structures[kind] = ckpt.restore_checkpoint(
-                    payload["structures"][kind], cm=self.cm
-                )
-        else:
-            for kind in self._ladder_kinds():
-                structures[kind] = self._fresh_structure(kind)
-        prefix, suffix = wal_ops[:position], wal_ops[position:]
+        position, structures = self._restore_checkpoint(len(wal_ops))
         for kind, structure in structures.items():
             graph = DynamicGraph(0)
-            for op in prefix:
+            for op in wal_ops[:position]:
                 self._mirror(graph, op)
-            self.managers[kind] = RecoveryManager(
-                structure,
-                graph=graph,
-                history=list(prefix),
-                bounded_history=True,
-            )
+            self.managers[kind] = RecoveryManager(structure, graph=graph)
         self.applied = position
-        for op in suffix:
+        for op in wal_ops[position:]:
             self._apply_managers(op)
             self.applied += 1
+
+    def _restore_checkpoint(self, wal_len: int) -> tuple[int, dict[str, Any]]:
+        """``(position, structures)`` to resume from.
+
+        A checkpoint that is missing, torn, ahead of the WAL, or that
+        parses but will not restore yields ``(0, fresh structures)`` —
+        a full WAL replay rebuilds the tenant instead of refusing to
+        open it.  No partially restored structure is ever kept.
+        """
+        kinds = self._ladder_kinds()
+        payload = self._read_checkpoint()
+        if payload is not None and payload["position"] <= wal_len:
+            try:
+                return payload["position"], {
+                    kind: ckpt.restore_checkpoint(
+                        payload["structures"][kind], cm=self.cm
+                    )
+                    for kind in kinds
+                }
+            except (ReproError, ValueError, TypeError):
+                pass
+        return 0, {kind: self._fresh_structure(kind) for kind in kinds}
 
     def _read_checkpoint(self) -> Optional[dict[str, Any]]:
         path = self.directory / CHECKPOINT_NAME

@@ -173,13 +173,27 @@ class TestRecovery:
         final = TenantShard("t", tmp_path / "t", CFG)
         assert final.accepted == len(batches) + 1
 
-    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["not-json", "drop-rung", "repeat-arc"])
+    def test_corrupt_checkpoint_falls_back_to_full_replay(self, tmp_path, damage):
+        """A checkpoint that will not parse, or parses but will not
+        restore, is discarded whole: the full WAL rebuilds the tenant."""
         batches = churn_batches(CFG.n, seed=4, count=8, size=4)
         oracle = oracle_answers(CFG, batches)
         shard = TenantShard("t", tmp_path / "t", CFG, checkpoint_every=3)
         drive(shard, batches)
         shard.close()
-        (tmp_path / "t" / CHECKPOINT_NAME).write_text("{ not json")
+        path = tmp_path / "t" / CHECKPOINT_NAME
+        if damage == "not-json":
+            path.write_text("{ not json")
+        else:
+            payload = json.loads(path.read_text())
+            rungs = payload["structures"]["coreness"]["rungs"]
+            if damage == "drop-rung":
+                rungs.pop()
+            else:
+                arcs = next(r["inner"]["arcs"] for r in rungs if r["inner"]["arcs"])
+                arcs.append(arcs[0])
+            path.write_text(json.dumps(payload))
         reopened = TenantShard("t", tmp_path / "t", CFG)
         assert (
             dict(reopened.snapshot.coreness),

@@ -14,18 +14,6 @@ from repro.instrument.work_depth import CostModel
 from repro.pram import RungTask, SerialExecutor
 
 
-def _square(x):
-    return x * x
-
-
-class TestSerial:
-    def test_maps_in_order(self):
-        assert SerialExecutor().map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_empty(self):
-        assert SerialExecutor().map(_square, []) == []
-
-
 class _Unit:
     """A structure whose method charges a fixed (work, depth)."""
 
