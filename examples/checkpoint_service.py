@@ -13,10 +13,11 @@ Run:  python examples/checkpoint_service.py
 import tempfile
 import pathlib
 
-from repro.core import BalancedOrientation, audit_orientation
-from repro.core.snapshot import from_json, to_json
+from repro.core import BalancedOrientation
 from repro.core.stats import orientation_stats
 from repro.graphs import DynamicGraph, streams
+from repro.resilience.checkpoint import from_json, to_json
+from repro.verify import audit_orientation
 
 
 def apply(st, graph, op):

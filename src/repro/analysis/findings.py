@@ -1,6 +1,6 @@
 """Finding and report types for reprolint.
 
-Mirrors the :class:`repro.core.verify.AuditReport` idiom: checkers never
+Mirrors the :class:`repro.verify.AuditReport` idiom: checkers never
 raise on a violation — they accumulate :class:`Finding` records into a
 :class:`LintReport` whose ``ok`` property drives the CLI exit code, so CI
 logs every problem in one run.

@@ -11,9 +11,7 @@ from .levels import is_h_balanced_edge, levkey
 from .lowoutdegree import LowOutDegree
 from .queries import CorenessMonitor, extract_dense_set, pseudoforest_decomposition
 from .stats import coreness_stats, density_stats, orientation_stats
-from .verify import AuditReport, audit_coreness, audit_density, audit_orientation, replay_audit
 from .sampling import ConcentrationBand, EdgeSampler, expected_band, sample_graph
-from . import snapshot
 
 __all__ = [
     "BalancedOrientation",
@@ -32,15 +30,9 @@ __all__ = [
     "levkey",
     "pseudoforest_decomposition",
     "sample_graph",
-    "snapshot",
-    "AuditReport",
-    "audit_coreness",
-    "audit_density",
-    "audit_orientation",
     "coreness_stats",
     "density_stats",
     "orientation_stats",
-    "replay_audit",
     "from_graph",
     "static_balanced_orientation",
 ]

@@ -39,7 +39,6 @@ from ..errors import BatchError, InvariantViolation
 from ..graphs.graph import Edge, norm_edge
 from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .inindex import InIndex
 from .levels import is_h_balanced_edge, levkey
 from .outset import OutSet
@@ -48,7 +47,7 @@ from .outset import OutSet
 ArcKey = tuple[int, int]
 
 
-class BalancedOrientation(Transactional):
+class BalancedOrientation:
     """Deterministic batch-dynamic H-balanced orientation."""
 
     def __init__(
@@ -132,19 +131,29 @@ class BalancedOrientation(Transactional):
             self.inx[v] = index
         return index
 
-    def _reset_storage(self) -> None:
-        """Drop every container to empty.
+    def _rebuild(
+        self,
+        tail_of: dict[tuple[int, int, int], int],
+        level: dict[int, int],
+        vertex_label: Optional[dict[int, int]] = None,
+    ) -> None:
+        """Drop every container and re-file each arc of ``tail_of``.
 
-        The single funnel through which guard rollback and checkpoint
-        load wipe the structure before replaying arcs.
+        The single funnel through which guard rollback, checkpoint restore
+        and ``bulk.from_graph`` (re)construct a structure from its logical
+        state.  Pre-seeding levels and labels before the ``_arc_add`` loop
+        makes every arc file under its final (tr, label, lev) key
+        immediately, at O(m H log n) cost (charged through ``_arc_add``).
         """
         self.out = {}
         self.inx = {}
-        self.level = {}
         self.tr_of = {}
         self.label_of = {}
-        self.vertex_label = {}
         self.tail_of = {}
+        self.level = dict(level)
+        self.vertex_label = dict(vertex_label) if vertex_label else {}
+        for (a, b, copy), tail in tail_of.items():
+            self._arc_add(tail, b if tail == a else a, copy)
 
     def _logn(self) -> int:
         # cached on len(self.level): recomputing ceil(log2) per charge was

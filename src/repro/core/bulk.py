@@ -13,10 +13,11 @@ cheaper:
    can only mask gaps at the top), so each flip decreases
    ``sum d+(v)^2`` by at least 2 and the worklist terminates.
 
-The result is loaded into a fully indexed
-:class:`~repro.core.balanced.BalancedOrientation` via the snapshot
-restore path, which re-verifies all invariants.  Benchmark E18 measures
-the speedup over incremental insertion.
+The result is filed into a fully indexed
+:class:`~repro.core.balanced.BalancedOrientation` through its
+``_rebuild`` funnel (the one checkpoint restore uses) and all invariants
+are re-verified.  Benchmark E18 measures the speedup over incremental
+insertion.
 """
 
 from __future__ import annotations
@@ -136,12 +137,11 @@ def from_graph(
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> BalancedOrientation:
     """Build a fully indexed BALANCED(H) from a static edge list."""
-    from .snapshot import restore
-
     tail_map, deg = static_balanced_orientation(edges, H)
-    arcs = []
-    for (a, b), tail in sorted(tail_map.items()):
-        head = b if tail == a else a
-        arcs.append((tail, head, 0))
-    snap = {"H": H, "arcs": arcs, "levels": deg}
-    return restore(snap, cm=cm, constants=constants)
+    tail_of = {(a, b, 0): tail for (a, b), tail in sorted(tail_map.items())}
+    st = BalancedOrientation(H, cm=cm, constants=constants)
+    # charged as a balanced checkpoint restore: one filing per arc plus the level pre-seed
+    st.cm.charge(work=len(tail_of) + len(deg) + 1, depth=1)
+    st._rebuild(tail_of, deg)
+    st.check_invariants()
+    return st

@@ -21,12 +21,11 @@ from typing import Iterable, Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .coreness_fixed import FixedHCorenessEstimator
 from .ladder import RungLadder
 
 
-class CorenessDecomposition(RungLadder, Transactional):
+class CorenessDecomposition(RungLadder):
     """Batch-dynamic ``(4 + eps)``-approximate coreness for all vertices."""
 
     def __init__(

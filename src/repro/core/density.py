@@ -22,12 +22,11 @@ from typing import Iterable, Optional
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, ladder_heights
 from ..errors import InvariantViolation
 from ..instrument.work_depth import CostModel
-from ..resilience.guard import Transactional
 from .density_fixed import FixedHDensityGuard
 from .ladder import RungLadder
 
 
-class DensityEstimator(RungLadder, Transactional):
+class DensityEstimator(RungLadder):
     """Batch-dynamic ``(1 + eps)`` density estimate + low out-degree orientation."""
 
     def __init__(

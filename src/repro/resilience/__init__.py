@@ -5,13 +5,12 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
 * :mod:`~repro.resilience.faults` — a deterministic, seeded fault injector
   with named injection sites instrumented into the hot paths (token games,
   bundle extraction, hash-table batch ops).  Zero overhead while disarmed.
-* :mod:`~repro.resilience.guard` — transactional batch application: a
-  ``guarded`` context manager plus the ``Transactional`` mixin that makes
-  every structure's batch apply-fully-or-rollback (strong exception
-  safety).
-* :mod:`~repro.resilience.checkpoint` — logical checkpoints (JSON-able)
-  for the full ladder structures, extending ``core/snapshot.py`` beyond
-  the single orientation; the service tenant
+* :mod:`~repro.resilience.guard` — guarded batch application: the
+  ``guarded`` context manager makes a batch on any structure
+  apply-fully-or-rollback (strong exception safety).
+* :mod:`~repro.resilience.checkpoint` — the one state codec: logical,
+  JSON-able checkpoints of a single ``BALANCED(H)`` and of the full
+  ladder structures, validated on load; the service tenant
   (:class:`~repro.service.state.TenantShard`) restarts by restoring one
   and replaying its write-ahead log's suffix.
 * :mod:`~repro.resilience.recovery` — the tiered, in-memory
@@ -21,7 +20,7 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
   ``repro chaos`` and benchmark E20.
 
 ``faults`` and ``guard`` import nothing from :mod:`repro.core` at module
-scope (the core structures import *them*); the heavier layers are loaded
+scope (the token games import ``faults``); the heavier layers are loaded
 lazily here to keep the import graph acyclic.
 """
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from . import faults
 from .faults import SITES, FaultInjector, FaultSpec, injecting
-from .guard import Transactional, capture, guarded, rollback
+from .guard import capture, guarded, rollback
 
 _LAZY = {
     "checkpoint": ".checkpoint",
@@ -46,7 +45,6 @@ __all__ = [
     "SITES",
     "FaultInjector",
     "FaultSpec",
-    "Transactional",
     "capture",
     "faults",
     "guarded",

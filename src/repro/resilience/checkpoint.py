@@ -1,22 +1,28 @@
-"""Logical checkpoints for the full ladder structures (JSON-able).
+"""The state codec: logical, JSON-able checkpoints of every structure.
 
-``core/snapshot.py`` checkpoints a single ``BALANCED(H)``; a production
-restart needs the same story for the Theorem 1.1/1.2 ladders.  A ladder
-checkpoint records the *construction parameters* (n, eps, seed, h_max,
-constants) plus, per rung, the logical state of every inner balanced
-orientation (arcs + levels).  Restoring builds a fresh ladder from the
-parameters — which deterministically reproduces the rung skeleton,
-regimes, duplication factors and sampler seeds — and then re-files each
-inner orientation through the audited ``_arc_add`` funnel.
+This module is the one place that encodes, validates and restores
+orientation state.  The logical state of a ``BALANCED(H)`` is its
+oriented arc set plus the recorded levels; a ``"balanced"`` checkpoint is
+that state plus ``H``.  A ladder checkpoint (Theorems 1.1/1.2) records
+the *construction parameters* (n, eps, seed, h_max, constants) plus, per
+rung, the logical state of every inner balanced orientation.  Restoring a
+ladder builds a fresh one from the parameters — which deterministically
+reproduces the rung skeleton, regimes, duplication factors and sampler
+seeds — and then files each inner state back through
+``BalancedOrientation._rebuild``, the re-file funnel guard rollback and
+``bulk.from_graph`` also use.  Restoring is O(m H log n), the cost of filing
+every arc once.
 
 Together with the write-ahead trace log
 (:class:`~repro.graphs.tracefile.TraceWriter`), restart becomes
 *restore checkpoint + replay the trace suffix*; the service tenant
 (:class:`~repro.service.state.TenantShard`) packages both.
 
-All malformed-payload errors surface as :class:`~repro.errors.BatchError`
-or :class:`~repro.errors.ParameterError` with a clear message, matching
-the hardened ``core/snapshot.py`` contract.
+Every orientation state, balanced or rung, goes through one strict
+decoder.  Malformed or truncated payloads — the kind a torn write or a
+stale file produces — surface as :class:`~repro.errors.BatchError` (or
+:class:`~repro.errors.ParameterError` for a bad H) with a message that
+names the offending field, never a bare ``KeyError``/``TypeError``.
 """
 
 from __future__ import annotations
@@ -29,41 +35,64 @@ from ..config import Constants
 from ..errors import BatchError
 from ..graphs.graph import norm_edge
 from ..instrument.work_depth import CostModel
-from .guard import _rebuild_balanced
 
 
 def _balanced_state(bal: Any) -> dict[str, Any]:
-    """Logical (arcs, levels) of one inner orientation — JSON-able."""
+    """Logical (arcs, levels) of one orientation — JSON-able."""
     return {
         "arcs": [list(a) for a in sorted(bal.arcs())],
         "levels": {str(v): lvl for v, lvl in sorted(bal.level.items()) if lvl},
     }
 
 
-def _load_balanced_state(bal: Any, state: dict[str, Any]) -> None:
-    """Re-file a freshly constructed orientation from a saved state."""
-    if not isinstance(state, dict) or "arcs" not in state or "levels" not in state:
-        raise BatchError("checkpoint rung state missing 'arcs'/'levels'")
-    try:
-        levels = {int(v): int(lvl) for v, lvl in dict(state["levels"]).items()}
-        arcs = [(int(t), int(h), int(c)) for t, h, c in state["arcs"]]
-    except (TypeError, ValueError) as exc:
-        raise BatchError(f"checkpoint rung state is malformed: {exc}") from exc
+def _checked_int(value: Any, what: str) -> int:
+    """``value`` as an int; a bool, string or non-integral float is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise BatchError(f"checkpoint {what} must be an integer, got {value!r}")
+
+
+def _load_balanced_state(
+    bal: Any, state: Any
+) -> tuple[dict[tuple[int, int, int], int], dict[int, int]]:
+    """Validate a saved (arcs, levels) state and file it into ``bal``.
+
+    Returns the decoded ``(tail_of, levels)`` so a caller can charge for
+    the filing it asked for.
+    """
+    if not isinstance(state, dict):
+        raise BatchError(f"checkpoint state must be a mapping, got {type(state).__name__}")
+    for key in ("arcs", "levels"):
+        if key not in state:
+            raise BatchError(f"checkpoint state missing key {key!r}")
+    if not isinstance(state["arcs"], (list, tuple)):
+        raise BatchError("checkpoint 'arcs' must be a list of (tail, head, copy)")
+    if not isinstance(state["levels"], dict):
+        raise BatchError("checkpoint 'levels' must be a vertex -> level mapping")
+    levels: dict[int, int] = {}
+    for v, lvl in state["levels"].items():
+        try:  # JSON object keys are strings
+            vertex = int(v) if isinstance(v, str) else _checked_int(v, "level vertex")
+        except ValueError as exc:
+            raise BatchError(f"checkpoint level vertex must be an integer, got {v!r}") from exc
+        levels[vertex] = _checked_int(lvl, f"level of {v}")
     tail_of: dict[tuple[int, int, int], int] = {}
-    for tail, head, copy in arcs:
+    for i, entry in enumerate(state["arcs"]):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise BatchError(
+                f"checkpoint arc #{i} must be a (tail, head, copy) triple, got {entry!r}"
+            )
+        tail, head, copy = (_checked_int(x, f"arc #{i} field") for x in entry)
+        if tail == head:
+            raise BatchError(f"checkpoint arc ({tail}, {head}, {copy}) is a self-loop")
         a, b = norm_edge(tail, head)
-        key = (a, b, copy)
-        if key in tail_of:
-            raise BatchError(f"checkpoint rung state repeats arc {key}")
-        tail_of[key] = tail
-        levels.setdefault(tail, 0)
-    snap = {
-        "tail_of": tail_of,
-        "level": levels,
-        "vertex_label": {},
-        "journals": ([], [], []),
-    }
-    _rebuild_balanced(bal, snap)
+        if (a, b, copy) in tail_of:
+            raise BatchError(f"checkpoint state repeats arc {(a, b, copy)}")
+        tail_of[(a, b, copy)] = tail
+    bal._rebuild(tail_of, levels)
+    return tail_of, levels
 
 
 # -- checkpoint (structure -> payload) ----------------------------------------
@@ -76,15 +105,11 @@ def checkpoint(st: Any) -> dict[str, Any]:
     from ..core.density import DensityEstimator
 
     if isinstance(st, BalancedOrientation):
-        from ..core.snapshot import snapshot
-
-        snap = snapshot(st)
-        return {
-            "type": "balanced",
-            "H": snap["H"],
-            "arcs": [list(a) for a in snap["arcs"]],
-            "levels": {str(v): lvl for v, lvl in snap["levels"].items()},
-        }
+        # unlike a rung's, a balanced payload keeps the zero level of every
+        # vertex with an (emptied) out-set: len(level) sizes the log n of
+        # every later charge, so dropping them would change restored costs
+        levels = {str(v): lvl for v, lvl in sorted(st.level.items()) if lvl or v in st.out}
+        return {"type": "balanced", "H": st.H, **_balanced_state(st), "levels": levels}
     if isinstance(st, (CorenessDecomposition, DensityEstimator)):
         kind = "coreness" if isinstance(st, CorenessDecomposition) else "density"
         payload: dict[str, Any] = {
@@ -125,21 +150,25 @@ def _rung_state(rung: Any) -> dict[str, Any]:
 def restore_checkpoint(payload: dict[str, Any], cm: Optional[CostModel] = None) -> Any:
     """Rebuild a structure from a :func:`checkpoint` payload and verify it.
 
-    Unknown keys are ignored, so payloads written while the storage
-    layout was selectable (they carry a ``"substrate"`` tag) still load.
+    A payload without a ``"type"`` but with an ``"H"`` is a balanced one
+    (the format single-orientation snapshots were written in).  Unknown
+    keys are ignored, so payloads written while the storage layout was
+    selectable (they carry a ``"substrate"`` tag) still load.
     """
     if not isinstance(payload, dict):
         raise BatchError("checkpoint payload must be a mapping")
-    kind = payload.get("type")
+    kind = payload.get("type", "balanced" if "H" in payload else None)
     if kind == "balanced":
-        from ..core.snapshot import restore
+        from ..core.balanced import BalancedOrientation
 
-        snap = {
-            "H": payload.get("H"),
-            "arcs": [tuple(a) for a in payload.get("arcs", [])],
-            "levels": payload.get("levels", {}),
-        }
-        return restore(snap, cm=cm)
+        if "H" not in payload:
+            raise BatchError("checkpoint missing key 'H'")
+        bal = BalancedOrientation(_checked_int(payload["H"], "H"), cm=cm)
+        tail_of, levels = _load_balanced_state(bal, payload)
+        # the restore loop: one filing per arc plus the level pre-seed
+        bal.cm.charge(work=len(tail_of) + len(levels) + 1, depth=1)
+        bal.check_invariants()
+        return bal
     if kind not in ("coreness", "density"):
         raise BatchError(f"unknown checkpoint type {kind!r}")
     for key in ("n", "eps", "seed", "constants", "rungs"):

@@ -1,24 +1,18 @@
-"""Transactional batch application — strong exception safety for batches.
+"""Guarded batch application — strong exception safety for batches.
 
 A batch that dies half-way through a token game leaves ``BALANCED(H)``
 with frozen levels, leftover vertex labels and a half-flipped arc set.
 :func:`guarded` makes every batch atomic: it captures a *logical snapshot*
 (the arc/level/label dictionaries — O(m) dict copies, no out-set or index
 state) before the batch and, if anything raises, rebuilds the structure
-in place from the snapshot through the same audited ``_arc_add`` funnel
-the ordinary restore path uses.  After a rollback the structure is
-logically identical to its pre-batch state and ``check_invariants()``
-passes; the exception is then re-raised for the caller (typically the
-:class:`~repro.resilience.recovery.RecoveryManager`) to handle.
+in place from the snapshot through ``BalancedOrientation._rebuild``, the
+same re-file funnel checkpoint restore uses.  After a rollback the
+structure is logically identical to its pre-batch state and
+``check_invariants()`` passes; the exception is then re-raised for the
+caller (typically the :class:`~repro.resilience.recovery.RecoveryManager`)
+to handle.
 
-:class:`Transactional` is the mixin the public structures inherit
-(``BalancedOrientation``, ``CorenessDecomposition``, ``DensityEstimator``);
-it exposes ``guarded_insert_batch`` / ``guarded_delete_batch`` /
-``guarded_update_batch`` so callers opt into atomicity per call — the raw
-batch methods stay exactly as fast as before.
-
-This module deliberately imports nothing from :mod:`repro.core` at module
-scope (core imports *it* for the mixin); :func:`capture` and
+This module imports nothing from :mod:`repro.core`; :func:`capture` and
 :func:`rollback` dispatch on structural attributes instead of types:
 
 ========================  =========================================
@@ -105,7 +99,11 @@ def rollback(st: Any, snap: Snapshot) -> None:
     """Rebuild ``st`` in place so it is logically equal to ``snap``."""
     kind = snap["kind"]
     if kind == "balanced":
-        _rebuild_balanced(st, snap)
+        st._rebuild(snap["tail_of"], snap["level"], snap["vertex_label"])
+        reversed_, inserted, deleted = snap["journals"]
+        st.last_reversed = list(reversed_)
+        st.last_inserted = list(inserted)
+        st.last_deleted = list(deleted)
     elif kind == "duplicated":
         rollback(st.inner, snap["inner"])
     elif kind == "density_guard":
@@ -133,25 +131,6 @@ def rollback(st: Any, snap: Snapshot) -> None:
         st.d_del = _rebuild_table(st, snap["d_del"])
     else:  # pragma: no cover - capture() only emits the kinds above
         raise ParameterError(f"unknown snapshot kind {kind!r}")
-
-
-def _rebuild_balanced(st: Any, snap: Snapshot) -> None:
-    """Reset a ``BalancedOrientation`` and re-file every snapshot arc.
-
-    Pre-seeding levels and labels before the ``_arc_add`` loop makes every
-    arc file under its final (tr, label, lev) key immediately — the same
-    trick ``core/snapshot.py`` uses, at the same O(m H log n) cost (charged
-    through ``_arc_add``).
-    """
-    st._reset_storage()
-    st.level = dict(snap["level"])
-    st.vertex_label = dict(snap["vertex_label"])
-    for (a, b, copy), tail in snap["tail_of"].items():
-        st._arc_add(tail, b if tail == a else a, copy)
-    reversed_, inserted, deleted = snap["journals"]
-    st.last_reversed = list(reversed_)
-    st.last_inserted = list(inserted)
-    st.last_deleted = list(deleted)
 
 
 def _rebuild_table(st: Any, items: dict) -> Any:
@@ -189,25 +168,3 @@ def guarded(st: Any) -> Iterator[Snapshot]:
         if cm is not None:
             cm.count("guard_rollbacks")
         raise
-
-
-class Transactional:
-    """Mixin adding strongly exception-safe batch entry points.
-
-    The raw ``insert_batch`` / ``delete_batch`` methods keep their cost
-    profile; these wrappers add the snapshot/rollback envelope for callers
-    that need the all-or-nothing guarantee (services, the recovery
-    manager, the chaos harness).
-    """
-
-    def guarded_insert_batch(self, edges) -> None:
-        with guarded(self):
-            self.insert_batch(edges)
-
-    def guarded_delete_batch(self, edges) -> None:
-        with guarded(self):
-            self.delete_batch(edges)
-
-    def guarded_update_batch(self, insertions=(), deletions=()) -> None:
-        with guarded(self):
-            self.update_batch(insertions=insertions, deletions=deletions)

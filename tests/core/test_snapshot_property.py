@@ -4,8 +4,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BalancedOrientation
-from repro.core.snapshot import from_json, restore, snapshot, to_json
 from repro.graphs.graph import norm_edge
+from repro.resilience import checkpoint as cp
 
 
 @st.composite
@@ -50,11 +50,11 @@ def test_snapshot_roundtrip_exact_after_any_schedule(ops, H):
             st_.insert_batch(edges)
         else:
             st_.delete_batch(edges)
-    recovered = restore(snapshot(st_))
+    recovered = cp.restore_checkpoint(cp.checkpoint(st_))
     assert sorted(st_.arcs()) == sorted(recovered.arcs())
     recovered.check_invariants()
     # JSON path agrees too
-    redecoded = from_json(to_json(st_))
+    redecoded = cp.from_json(cp.to_json(st_))
     assert sorted(redecoded.arcs()) == sorted(st_.arcs())
 
 
@@ -69,7 +69,7 @@ def test_restored_structure_continues_identically(ops):
     a = BalancedOrientation(H=4)
     for kind, edges in ops[:split]:
         (a.insert_batch if kind == "insert" else a.delete_batch)(edges)
-    b = restore(snapshot(a))
+    b = cp.restore_checkpoint(cp.checkpoint(a))
     for kind, edges in ops[split:]:
         (a.insert_batch if kind == "insert" else a.delete_batch)(edges)
         (b.insert_batch if kind == "insert" else b.delete_batch)(edges)

@@ -3,17 +3,10 @@
 import pytest
 
 from repro.config import Constants
-from repro.core import (
-    BalancedOrientation,
-    CorenessDecomposition,
-    DensityEstimator,
-    audit_coreness,
-    audit_density,
-    audit_orientation,
-    replay_audit,
-)
+from repro.core import BalancedOrientation, CorenessDecomposition, DensityEstimator
 from repro.core.stats import coreness_stats, density_stats, orientation_stats
 from repro.graphs import DynamicGraph, generators as gen, streams
+from repro.verify import audit_coreness, audit_density, audit_orientation, replay_audit
 
 
 SMALL = Constants(sample_c=0.5, min_B=4, duplication_cap=8)

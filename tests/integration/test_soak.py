@@ -6,9 +6,10 @@ the closest thing to the paper's "polynomial-length run" setting.
 
 import random
 
-from repro.core import BalancedOrientation, audit_orientation, replay_audit
+from repro.core import BalancedOrientation
 from repro.config import Constants
 from repro.graphs import DynamicGraph, generators as gen, streams
+from repro.verify import audit_orientation, replay_audit
 
 
 SMALL = Constants(sample_c=0.5, min_B=4, duplication_cap=8)

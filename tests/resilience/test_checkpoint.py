@@ -24,6 +24,55 @@ def _ladder(cls):
     return st
 
 
+def _malformed(target, mutate):
+    """A payload whose balanced state (``target="balanced"``) or busiest
+    coreness rung state (``target="rung"``) went through ``mutate``."""
+    if target == "balanced":
+        st = BalancedOrientation(3)
+        st.insert_batch(EDGES[:8])
+        return mutate(cp.checkpoint(st))
+    payload = cp.checkpoint(_ladder(CorenessDecomposition))
+    rung = max(payload["rungs"], key=lambda r: len(r["inner"]["arcs"]))
+    assert rung["inner"]["arcs"]
+    rung["inner"] = mutate(rung["inner"])
+    return payload
+
+
+def _without(state, key):
+    return {k: v for k, v in state.items() if k != key}
+
+
+def _arc0(state, field, value):
+    arc = list(state["arcs"][0])
+    arc[field] = value
+    return {**state, "arcs": [arc, *state["arcs"][1:]]}
+
+
+def _level0(state, value):
+    v = next(iter(state["levels"]))
+    return {**state, "levels": {**state["levels"], v: value(state["levels"][v])}}
+
+
+# (id, mutation of one orientation state, expected BatchError message).
+# The string/float/bool perturbations keep int() of the field unchanged,
+# so a loose int() parse would accept them silently.
+MALFORMED = [
+    ("not-a-mapping", lambda s: [1, 2, 3], "must be a mapping"),
+    ("missing-arcs", lambda s: _without(s, "arcs"), "missing key 'arcs'"),
+    ("missing-levels", lambda s: _without(s, "levels"), "missing key 'levels'"),
+    ("bad-arc-shape", lambda s: {**s, "arcs": [[0, 1]]}, "arc #0 must be"),
+    ("non-integer-arc-field", lambda s: _arc0(s, 1, "x"), "arc #0 field"),
+    ("string-arc-field", lambda s: _arc0(s, 0, str(s["arcs"][0][0])), "arc #0 field"),
+    ("float-arc-field", lambda s: _arc0(s, 0, s["arcs"][0][0] + 0.4), "arc #0 field"),
+    ("bool-arc-field", lambda s: _arc0(s, 2, False), "arc #0 field"),
+    ("self-loop", lambda s: _arc0(s, 1, s["arcs"][0][0]), "self-loop"),
+    ("repeated-arc", lambda s: {**s, "arcs": [*s["arcs"], s["arcs"][0]]}, "repeats arc"),
+    ("bad-levels-shape", lambda s: {**s, "levels": [1, 2]}, "'levels' must be"),
+    ("fractional-level", lambda s: _level0(s, lambda lvl: lvl + 0.7), "level of"),
+    ("bool-level", lambda s: _level0(s, lambda lvl: True), "level of"),
+]
+
+
 @pytest.mark.parametrize("cls", [CorenessDecomposition, DensityEstimator])
 class TestLadderRoundtrip:
     def test_roundtrip_is_canonical(self, cls):
@@ -86,19 +135,25 @@ class TestValidation:
         with pytest.raises(BatchError, match="rungs"):
             cp.restore_checkpoint(payload)
 
-    def test_truncated_rung_state(self):
-        payload = cp.checkpoint(_ladder(CorenessDecomposition))
-        payload["rungs"][0] = {"inner": {"arcs": []}}  # levels missing
-        with pytest.raises(BatchError, match="arcs.*levels|missing"):
-            cp.restore_checkpoint(payload)
-
-    def test_repeated_arc_rejected(self):
-        payload = cp.checkpoint(_ladder(CorenessDecomposition))
-        state = payload["rungs"][0]["inner"]
-        if state["arcs"]:
-            state["arcs"].append(state["arcs"][0])
-            with pytest.raises(BatchError, match="repeats arc"):
-                cp.restore_checkpoint(payload)
+    @pytest.mark.parametrize(
+        "target, mutate, match",
+        [
+            pytest.param(target, mutate, match, id=f"{target}-{name}")
+            for name, mutate, match in MALFORMED
+            for target in ("balanced", "rung")
+        ]
+        + [
+            pytest.param(
+                "balanced",
+                lambda s: {**s, "H": "tall"},
+                "H must be an integer",
+                id="balanced-non-integer-h",
+            )
+        ],
+    )
+    def test_malformed(self, target, mutate, match):
+        with pytest.raises(BatchError, match=match):
+            cp.restore_checkpoint(_malformed(target, mutate))
 
     def test_cannot_checkpoint_unknown(self):
         with pytest.raises(BatchError, match="cannot checkpoint"):

@@ -14,7 +14,7 @@ import json
 import pathlib
 import shutil
 
-from repro.core.snapshot import from_json as snapshot_from_json
+from repro.resilience.checkpoint import from_json as snapshot_from_json
 from repro.instrument.work_depth import CostModel
 from repro.resilience.checkpoint import restore_checkpoint
 from repro.service.state import TenantConfig, TenantShard
