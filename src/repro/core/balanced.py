@@ -2,8 +2,9 @@
 
 The data structure of Section 4: every vertex keeps a ranked out-edge set
 (:class:`~repro.core.outset.OutSet`) and an incoming-edge index
-(:class:`~repro.core.inindex.InIndex`) keyed by (truncated rank, label) and
-bucketed by the tail's truncated level.  Batch insertions run the
+(:class:`~repro.core.inindex.InIndex`) keyed by (truncated rank, truncated
+level of the tail); deletion-game labels live on vertices and are read at
+probe time.  Batch insertions run the
 token-dropping game on token bundles (Section 4.2); batch deletions run the
 token-pushing game (Section 4.3).  Between batches the structure satisfies
 the H-balancedness invariant of Definition 3.1::
@@ -65,8 +66,8 @@ class BalancedOrientation:
         self.level: dict[int, int] = {}
         # per-arc filing state, keyed (tail, head, copy)
         self.tr_of: dict[tuple[int, int, int], int] = {}
-        self.label_of: dict[tuple[int, int, int], int] = {}
-        # vertex label applied to out-arcs of rank <= H (deletion game)
+        # deletion-game label of each vertex, carried by its out-arcs of
+        # rank <= H; absent means 0, and no arc is re-filed when it changes
         self.vertex_label: dict[int, int] = {}
         # undirected (min, max, copy) -> current tail
         self.tail_of: dict[tuple[int, int, int], int] = {}
@@ -141,14 +142,13 @@ class BalancedOrientation:
 
         The single funnel through which guard rollback, checkpoint restore
         and ``bulk.from_graph`` (re)construct a structure from its logical
-        state.  Pre-seeding levels and labels before the ``_arc_add`` loop
-        makes every arc file under its final (tr, label, lev) key
-        immediately, at O(m H log n) cost (charged through ``_arc_add``).
+        state.  Pre-seeding levels before the ``_arc_add`` loop makes every
+        arc file under its final (tr, lev) key immediately, at O(m H log n)
+        cost (charged through ``_arc_add``).
         """
         self.out = {}
         self.inx = {}
         self.tr_of = {}
-        self.label_of = {}
         self.tail_of = {}
         self.level = dict(level)
         self.vertex_label = dict(vertex_label) if vertex_label else {}
@@ -175,19 +175,17 @@ class BalancedOrientation:
         unit = self._logn()
         self.cm.charge(work=unit, depth=unit)
 
-    def _expected_filing(self, tail: int, position: int) -> tuple[int, int, int]:
-        """(tr, label, lev) an arc at 1-indexed ``position`` must be filed at."""
+    def _expected_filing(self, tail: int, position: int) -> tuple[int, int]:
+        """(tr, lev) an arc at 1-indexed ``position`` must be filed at."""
         tr = position if position <= self.H else self.H + 1
-        label = self.vertex_label.get(tail, 0) if position <= self.H else 0
-        return tr, label, levkey(self.level.get(tail, 0), self.H)
+        return tr, levkey(self.level.get(tail, 0), self.H)
 
     def _refile(self, tail: int, lo: int, hi: int) -> None:
         """Re-file arcs of ``tail`` at positions ``lo..hi`` (clamped).
 
-        Recomputes the expected (tr, label, lev) of each arc and diffs with
-        the stored filing — the single funnel through which rank shifts,
-        label changes and level changes all flow (keeps the index correct
-        by construction).
+        Recomputes the truncated rank of each arc and diffs it with the
+        stored filing — the single funnel through which rank shifts flow
+        (keeps the index correct by construction).
         """
         outset = self.out.get(tail)
         if outset is None:
@@ -201,29 +199,21 @@ class BalancedOrientation:
             logn = self._logn()
             self.cm.charge(work=span * logn, depth=logn)
         # the stored and expected levels agree inside a window (both are
-        # levkey(level[tail])), so only (tr, label) can differ — this loop
-        # is _expected_filing unrolled with the level component hoisted.
+        # levkey(level[tail])), so only tr can differ — this loop is
+        # _expected_filing unrolled with the level component hoisted.
         lev = self._stored_lev(tail)
         H = self.H
-        label_v = self.vertex_label.get(tail, 0)
-        tr_of, label_of, inx = self.tr_of, self.label_of, self.inx
+        tr_of, inx = self.tr_of, self.inx
         position = lo - 1
         for head, copy in outset.window(lo, hi):
             position += 1
-            if position <= H:
-                tr, label = position, label_v
-            else:
-                tr, label = H + 1, 0
+            tr = position if position <= H else H + 1
             arc = (tail, head, copy)
             stored_tr = tr_of[arc]
-            stored_label = label_of[arc]
-            if stored_tr != tr or stored_label != label:
+            if stored_tr != tr:
                 # a filed arc's head always has an in-index — direct hit
-                inx[head].move(
-                    (tail, copy), (stored_tr, stored_label, lev), (tr, label, lev)
-                )
+                inx[head].move((tail, copy), (stored_tr, lev), (tr, lev))
                 tr_of[arc] = tr
-                label_of[arc] = label
 
     def _stored_lev(self, tail: int) -> int:
         return levkey(self.level.get(tail, 0), self.H)
@@ -235,11 +225,9 @@ class BalancedOrientation:
         outset = self._outset(tail)
         outset.add((head, copy))
         position = outset.rank((head, copy))
-        arc = (tail, head, copy)
-        tr, label, lev = self._expected_filing(tail, position)
-        self.tr_of[arc] = tr
-        self.label_of[arc] = label
-        self._inx(head).add(tail_key(tail, copy), tr, label, lev)
+        tr, lev = self._expected_filing(tail, position)
+        self.tr_of[(tail, head, copy)] = tr
+        self._inx(head).add(tail_key(tail, copy), tr, lev)
         # ranks of later arcs shifted up by one; only first H+1 positions file.
         self._refile(tail, position + 1, self.H + 1)
         a, b = norm_edge(tail, head)
@@ -255,8 +243,9 @@ class BalancedOrientation:
         if outset is None or (head, copy) not in outset:
             raise InvariantViolation(f"arc {arc} missing from out-set")
         position = outset.rank((head, copy))
-        stored = (self.tr_of.pop(arc), self.label_of.pop(arc), self._stored_lev(tail))
-        self.inx[head].remove(tail_key(tail, copy), *stored)
+        self.inx[head].remove(
+            tail_key(tail, copy), self.tr_of.pop(arc), self._stored_lev(tail)
+        )
         outset.remove((head, copy))
         self._refile(tail, position, self.H + 1)
         a, b = norm_edge(tail, head)
@@ -282,26 +271,32 @@ class BalancedOrientation:
             if outset is not None:
                 old_lev = levkey(old, self.H)
                 new_lev = levkey(new, self.H)
-                tr_of, label_of, inx = self.tr_of, self.label_of, self.inx
+                tr_of, inx = self.tr_of, self.inx
                 for head, copy in outset:  # moves touch the index, not the set
-                    arc = (v, head, copy)
-                    tr, label = tr_of[arc], label_of[arc]
-                    inx[head].move(
-                        (v, copy), (tr, label, old_lev), (tr, label, new_lev)
-                    )
+                    tr = tr_of[(v, head, copy)]
+                    inx[head].move((v, copy), (tr, old_lev), (tr, new_lev))
             self._charge_arc_op()
         else:
             self.cm.charge(work=1, depth=1)
 
     def _apply_vertex_label(self, v: int, label: int) -> None:
-        """Set the deletion-game label of ``v`` on its rank <= H out-arcs."""
+        """Set the deletion-game label of ``v`` (carried by its rank <= H
+        out-arcs).
+
+        The in-index reads labels at probe time, so nothing is re-filed;
+        the charge is the paper's: relabelling the ``min(H, |out(v)|)``
+        arcs in parallel, then the (H+1) log n label-write unit.
+        """
         if self.vertex_label.get(v, 0) == label:
             return
         if label:
             self.vertex_label[v] = label
         else:
             self.vertex_label.pop(v, None)
-        self._refile(v, 1, self.H)
+        outset = self.out.get(v)
+        if outset:
+            logn = self._logn()
+            self.cm.charge(work=min(self.H, len(outset)) * logn, depth=logn)
         unit = (self.H + 1) * self._logn()
         self.cm.charge(work=unit, depth=unit)
 
@@ -526,7 +521,7 @@ class BalancedOrientation:
         # filing consistency: every arc filed exactly once, at the right key
         filed = 0
         for head, index in self.inx.items():
-            for tkey, tr, label, lev in index.entries():
+            for tkey, tr, lev in index.entries():
                 tail, copy = tkey
                 arc = (tail, head, copy)
                 if arc not in self.tr_of:
@@ -536,9 +531,9 @@ class BalancedOrientation:
                     raise InvariantViolation(f"in-index entry {arc} has no arc")
                 position = outset.rank((head, copy))
                 expected = self._expected_filing(tail, position)
-                if (tr, label, lev) != expected:
+                if (tr, lev) != expected or self.tr_of[arc] != tr:
                     raise InvariantViolation(
-                        f"arc {arc} filed at {(tr, label, lev)}, expected {expected}"
+                        f"arc {arc} filed at {(tr, lev)}, expected {expected}"
                     )
                 filed += 1
         total_arcs = sum(len(o) for o in self.out.values())

@@ -64,7 +64,7 @@ class OutSet:
     def select(self, rank: int) -> Any:
         """Neighbour at 1-indexed ``rank``."""
         if not (1 <= rank <= len(self._keys)):
-            raise IndexError(f"select({rank - 1}) on set of size {len(self._keys)}")
+            raise IndexError(f"select({rank}) on set of size {len(self._keys)}")
         return self._keys[rank - 1]
 
     def first(self, k: int) -> list[Any]:

@@ -17,10 +17,13 @@ vertex level by one.
 Token-pushing (deletions)
 -------------------------
 Tokens are pending out-degree *decrements* on distinct vertices (the arcs
-are already gone).  Per phase, edge labels ``2*[tail in S] + [tail
-occupied]`` are written onto out-arcs of rank <= H; then rank rounds
-``i = 1..H`` move tokens up along in-arcs of exact rank ``i`` whose tail
-has label 0 and truncated level exactly one higher, followed by the
+are already gone).  Per phase, every occupied vertex gets the label
+``2*[in S] + [occupied]``, which its out-arcs of rank <= H carry (the
+in-index reads it from the tail at probe time, so nothing is re-filed);
+then rank rounds ``i = 1..H`` move tokens up along in-arcs of exact rank
+``i`` whose tail has label 0 and truncated level exactly one higher.
+Rounds in which no such arc exists are skipped and charged in bulk:
+they send nothing, so they change nothing.  They are followed by the
 truncated-rank ``H+1`` round whose received tokens are *transparent*
 (absorbed immediately: removing an out-arc beyond rank ``H`` cannot change
 ``min(H, d+)``, the paper's dummy-vertex interpretation).  Halts within
@@ -164,27 +167,40 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
             with _trace.span("game.push.ranks"):
                 inx_get = st.inx.get
                 level_get = st.level.get
-                for i in range(1, H + 1):  # rank rounds
+                labels = st.vertex_label
+                # Every rank round probes each vertex of S still holding its
+                # token, one charged BST probe per branch with no mutations
+                # inside the region: probes*logn work at logn depth, charged
+                # in aggregate (bit-identical to per-branch charges).
+                active = [v for v in S_sorted if v in token]
+                i = 1
+                while active and i <= H:
+                    # Rounds that send nothing change nothing, so jump to the
+                    # next round r at which some active v has an unlabelled
+                    # in-arc, and charge the skipped rounds' probes in bulk.
+                    r = H + 1
+                    for v in active:
+                        index = inx_get(v)
+                        if index is not None:
+                            found = index.next_rank(i, r - 1, level_get(v, 0) + 1, labels)
+                            if found is not None:
+                                r = found
+                    logn = st._logn()
+                    if r > i:
+                        st.cm.charge(
+                            work=(r - i) * len(active) * logn, depth=(r - i) * logn
+                        )
+                    if r > H:
+                        break
                     sends: list[tuple[int, tuple[int, int]]] = []
-                    # One charged BST probe per branch, no mutations inside
-                    # the region, so every branch costs exactly (logn, logn)
-                    # — the fold is probes*logn work at logn depth, charged
-                    # in aggregate (bit-identical to per-branch charges;
-                    # the frames were the hot path).
-                    probes = 0
-                    for v in S_sorted:
-                        if v not in token:
-                            continue  # already sent its token this phase
-                        probes += 1
+                    for v in active:
                         index = inx_get(v)
                         if index is None:
                             continue
-                        wkey = index.any_at(i, 0, level_get(v, 0) + 1)
+                        wkey = index.any_at(r, level_get(v, 0) + 1, labels)
                         if wkey is not None:
                             sends.append((v, wkey))
-                    if probes:
-                        logn = st._logn()
-                        st.cm.charge(work=probes * logn, depth=logn)
+                    st.cm.charge(work=len(active) * logn, depth=logn)
                     # canonical order: each v sends at most once, so sorting makes
                     # the flip sequence a pure function of the phase's input.
                     for v, (w, copy) in sorted(sends):
@@ -206,6 +222,10 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                             st._apply_vertex_label(w, 1)  # w not in S, now occupied
                             labeled.add(w)
                         moved = True
+                    # the senders left the active set, and the flips and
+                    # labels changed buckets: recompute before the next search
+                    active = [v for v in S_sorted if v in token]
+                    i = r + 1
 
             # truncated-rank H+1 round: transparent tokens
             with _trace.span("game.push.truncated"):

@@ -39,23 +39,23 @@ class TestCorruptionDetected:
 
     def test_stray_index_entry(self):
         st = build()
-        st._inx(0).add(tail_key(99, 0), 1, 0, 2)
+        st._inx(0).add(tail_key(99, 0), 1, 2)
         with pytest.raises(InvariantViolation):
             st.check_invariants()
 
     def test_missing_index_entry(self):
         st = build()
         head, index = next((h, ix) for h, ix in st.inx.items() if len(ix) > 0)
-        tail, tr, label, lev = next(iter(index.entries()))
-        index.remove(tail, tr, label, lev)
+        tail, tr, lev = next(iter(index.entries()))
+        index.remove(tail, tr, lev)
         with pytest.raises(InvariantViolation):
             st.check_invariants()
 
     def test_wrong_filing_slot(self):
         st = build()
         head, index = next((h, ix) for h, ix in st.inx.items() if len(ix) > 0)
-        tail, tr, label, lev = next(iter(index.entries()))
-        index.move(tail, (tr, label, lev), (tr, 3, lev))
+        tail, tr, lev = next(iter(index.entries()))
+        index.move(tail, (tr, lev), (tr + 1, lev))
         with pytest.raises(InvariantViolation):
             st.check_invariants()
 
