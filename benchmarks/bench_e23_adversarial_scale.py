@@ -124,7 +124,7 @@ def out_of_core(batches: int) -> dict:
         _, replay_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         wall = wallclock.monotonic() - t0
-    audit = audit_orientation(manager.structure, manager.graph)
+    audit = audit_orientation(manager.structures[0], manager.graph)
     _CACHE[key] = {
         "batches": info.batches,
         "edge_updates": info.edge_updates,

@@ -174,7 +174,8 @@ def density_ramp(
 
 
 def replay(ops: Iterable[BatchOp], graph) -> None:
-    """Apply a stream to a :class:`~repro.graphs.graph.DynamicGraph`."""
+    """Apply a stream to a :class:`~repro.graphs.graph.DynamicGraph` (or
+    to any structure with ``insert_batch``/``delete_batch``)."""
     for op in ops:
         if op.kind == "insert":
             graph.insert_batch(op.edges)

@@ -380,7 +380,7 @@ def _trial_findings(
     if not final.ok:
         findings.append(f"{tag}: final audit red: {final.render()}")
         return findings
-    st = manager.structure
+    st = manager.structures[0]
     if isinstance(st, BalancedOrientation):
         replay = replay_audit(committed, H=H, constants=st.constants)
         if not replay.ok:

@@ -1,20 +1,21 @@
 """Tiered recovery manager — rollback, checkpoint replay, full rebuild.
 
-The :class:`RecoveryManager` wraps one dynamic structure
-(``BalancedOrientation``, ``CorenessDecomposition`` or
-``DensityEstimator``) and applies every batch through an escalation
-ladder, cheapest remedy first:
+The :class:`RecoveryManager` wraps the dynamic structures one batch
+stream drives (``BalancedOrientation``, ``CorenessDecomposition``,
+``DensityEstimator``) and applies every batch to all of them as one
+unit through an escalation ladder, cheapest remedy first:
 
-* **tier 1 — rollback.**  The batch runs inside
-  :func:`~repro.resilience.guard.guarded`, so any exception (an injected
-  fault, a :class:`~repro.errors.ConvergenceError`, a half-applied token
-  game) rolls the structure back to its pre-batch state; the batch is
-  retried once on the restored state.
+* **tier 1 — rollback.**  Each structure applies the batch inside its own
+  :func:`~repro.resilience.guard.guarded` region, nested in the previous
+  one, so any exception (an injected fault, a
+  :class:`~repro.errors.ConvergenceError`, a half-applied token game)
+  rolls back every structure the attempt entered: a batch commits to all
+  structures or to none.  It is retried once on the restored state.
 * **tier 2 — checkpoint + suffix replay.**  If the rolled-back state
   itself is unhealthy, or the retry fails again, the manager restores the
   last in-memory checkpoint and replays the batches committed since.
-* **tier 3 — full rebuild.**  As a last resort the structure is rebuilt
-  from the ground-truth :class:`~repro.graphs.graph.DynamicGraph`
+* **tier 3 — full rebuild.**  As a last resort the structures are rebuilt
+  from the one ground-truth :class:`~repro.graphs.graph.DynamicGraph`
   (``core/bulk.py`` for a single orientation; fresh construction plus
   chunked re-insertion for the ladders).
 
@@ -39,28 +40,30 @@ from ..core.balanced import BalancedOrientation
 from ..verify.audits import AuditReport, audit_orientation
 from ..errors import BatchError, RecoveryError
 from ..graphs.graph import DynamicGraph, normalize_batch
-from ..graphs.streams import BatchOp
+from ..graphs.streams import BatchOp, replay
 from ..instrument import trace as _trace
 from ..instrument.metrics import RecoveryStats
 from .guard import capture, guarded, rollback
 
+MAX_RECOVERY_ROUNDS = 3  # full escalation passes before RecoveryError
+MAX_REBUILD_ATTEMPTS = 3  # tier-3 rebuild attempts per pass
+REBUILD_CHUNK = 128  # edges per re-insertion batch of a ladder rebuild
+
 
 class RecoveryManager:
-    """Apply batches with the rollback → checkpoint → rebuild ladder."""
+    """Apply batches to ``structures`` (sharing one cost model, ground-truth
+    graph, history and checkpoint) with the rollback → checkpoint → rebuild
+    ladder."""
 
     def __init__(
         self,
-        structure: Any,
-        *,
+        *structures: Any,
         checkpoint_every: int = 16,
         audit_every: int = 1,
-        max_recovery_rounds: int = 3,
-        max_rebuild_attempts: int = 3,
-        rebuild_chunk: int = 128,
         graph: Optional[DynamicGraph] = None,
     ) -> None:
-        self.structure = structure
-        self.cm = structure.cm
+        self.structures = structures
+        self.cm = structures[0].cm
         self.graph = graph if graph is not None else DynamicGraph(0)
         #: batches committed since the last checkpoint — what tier 2 replays.
         self.history: list[BatchOp] = []
@@ -68,14 +71,11 @@ class RecoveryManager:
         self.applied = 0
         self.checkpoint_every = max(1, checkpoint_every)
         self.audit_every = audit_every
-        self.max_recovery_rounds = max(1, max_recovery_rounds)
-        self.max_rebuild_attempts = max(1, max_rebuild_attempts)
-        self.rebuild_chunk = max(1, rebuild_chunk)
         self.stats = RecoveryStats()
-        self._ckpt = capture(structure)
+        self._ckpt = [capture(st) for st in structures]
         if not self.healthy():
             raise BatchError(
-                "RecoveryManager: structure and ground-truth graph disagree "
+                "RecoveryManager: structures and ground-truth graph disagree "
                 "at construction"
             )
 
@@ -86,7 +86,7 @@ class RecoveryManager:
 
         Invalid batches (duplicate edges, inserting a live edge, deleting
         an absent one) raise :class:`~repro.errors.BatchError` without
-        touching the structure — that is caller error, not a fault.
+        touching any structure — that is caller error, not a fault.
         """
         self._validate(op)
         with _trace.span("recovery.apply", detail={"kind": op.kind, "edges": op.size}):
@@ -114,7 +114,7 @@ class RecoveryManager:
         if outcome != "ok":
             self.cm.count(f"recovery_{outcome}")
         if len(self.history) >= self.checkpoint_every:
-            self._ckpt = capture(self.structure)
+            self._ckpt = [capture(st) for st in self.structures]
             # tier 2 replays only the post-checkpoint suffix, so memory
             # stays window-sized however long the stream (E23).
             self.history.clear()
@@ -123,25 +123,32 @@ class RecoveryManager:
     # -- health ------------------------------------------------------------------
 
     def healthy(self) -> bool:
-        """Structure invariants hold (and, for an orientation, its edge set
+        """Every structure's invariants hold (and an orientation's edge set
         matches the ground truth)."""
-        try:
-            self.structure.check_invariants()
-        except Exception:
-            return False
-        if isinstance(self.structure, BalancedOrientation):
-            ours = {(a, b) for (a, b, _copy) in self.structure.tail_of}
-            if ours != self.graph.edges:
+        for st in self.structures:
+            try:
+                st.check_invariants()
+            except Exception:
                 return False
+            if isinstance(st, BalancedOrientation):
+                ours = {(a, b) for (a, b, _copy) in st.tail_of}
+                if ours != self.graph.edges:
+                    return False
         return True
 
     def audit(self) -> AuditReport:
-        """A full audit of the managed structure against the ground truth."""
-        if isinstance(self.structure, BalancedOrientation):
-            return audit_orientation(self.structure, self.graph)
-        report = AuditReport(f"{type(self.structure).__name__} invariants")
+        """A full audit of every managed structure against the ground truth."""
+        report, *others = [self._audit_one(st) for st in self.structures]
+        for other in others:
+            report.merge(other)
+        return report
+
+    def _audit_one(self, st: Any) -> AuditReport:
+        if isinstance(st, BalancedOrientation):
+            return audit_orientation(st, self.graph)
+        report = AuditReport(f"{type(st).__name__} invariants")
         try:
-            self.structure.check_invariants()
+            st.check_invariants()
         except Exception as exc:
             report.add(str(exc))
         return report
@@ -156,28 +163,27 @@ class RecoveryManager:
             if op.kind == "delete" and e not in self.graph.edges:
                 raise BatchError(f"deleting absent edge {e}")
 
-    def _apply_raw(self, op: BatchOp) -> None:
-        if op.kind == "insert":
-            self.structure.insert_batch(op.edges)
-        else:
-            self.structure.delete_batch(op.edges)
-
     def _try(self, op: BatchOp) -> Optional[BaseException]:
         """One guarded attempt; returns the exception instead of raising."""
         try:
-            with guarded(self.structure):
-                self._apply_raw(op)
+            self._attempt(op, self.structures)
         except RecoveryError:
             raise
         except BaseException as exc:
             return exc
         return None
 
+    def _attempt(self, op: BatchOp, structures: tuple[Any, ...]) -> None:
+        """Nested guarded regions: a failure rolls back exactly the
+        structures entered so far, each captured just before it applies."""
+        if structures:
+            st = structures[0]
+            with guarded(st):
+                replay((op,), st)
+                self._attempt(op, structures[1:])
+
     def _commit(self, op: BatchOp) -> None:
-        if op.kind == "insert":
-            self.graph.insert_batch(op.edges)
-        else:
-            self.graph.delete_batch(op.edges)
+        replay((op,), self.graph)
         self.history.append(op)
         self.applied += 1
 
@@ -186,12 +192,12 @@ class RecoveryManager:
 
         A burst of transient faults can outlast one pass (the tier-1 retry
         faults again, the tier-2 replay faults, ...), so the whole ladder
-        runs up to ``max_recovery_rounds`` times — each round either
+        runs up to ``MAX_RECOVERY_ROUNDS`` times — each round either
         consumes faults or lands the batch.
         """
         deepest = "rollback"
         last: Optional[BaseException] = first_exc
-        for _round in range(self.max_recovery_rounds):
+        for _round in range(MAX_RECOVERY_ROUNDS):
             # Tier 1: guarded() already rolled back; retry on that state.
             if self.healthy() and self._try(op) is None:
                 return deepest
@@ -214,7 +220,7 @@ class RecoveryManager:
                 return deepest
         raise RecoveryError(
             f"batch of {len(op.edges)} {op.kind}s failed after "
-            f"{self.max_recovery_rounds} recovery rounds "
+            f"{MAX_RECOVERY_ROUNDS} recovery rounds "
             f"(first failure: {first_exc!r}, last: {last!r})"
         )
 
@@ -226,7 +232,7 @@ class RecoveryManager:
         if self.healthy():
             return "rebuild"
         raise RecoveryError(
-            "structure still unhealthy after a full rebuild from the "
+            "structures still unhealthy after a full rebuild from the "
             "ground-truth graph"
         )
 
@@ -234,36 +240,37 @@ class RecoveryManager:
         """Checkpoint + history-suffix replay; False means escalate."""
         self.cm.count("recovery_tier2_replays")
         try:
-            rollback(self.structure, self._ckpt)
-            for past in self.history:
-                self._apply_raw(past)
+            for st, snap in zip(self.structures, self._ckpt):
+                rollback(st, snap)
+                replay(self.history, st)
         except BaseException:
             return False
         return self.healthy()
 
     def _tier3_rebuild(self) -> None:
         """Rebuild from the ground-truth graph (raises RecoveryError if
-        every attempt fails — e.g. faults keep firing mid-rebuild)."""
-        prev_touched = set(getattr(self.structure, "_touched", ()))
+        every attempt fails — e.g. faults keep firing mid-rebuild).  An
+        attempt builds every structure before installing any."""
+        prev_touched = [set(getattr(st, "_touched", ())) for st in self.structures]
         last: Optional[BaseException] = None
-        for _attempt in range(self.max_rebuild_attempts):
+        for _ in range(MAX_REBUILD_ATTEMPTS):
             self.cm.count("recovery_rebuild_attempts")
             try:
-                fresh = self._build_from_graph()
-                rollback(self.structure, capture(fresh))
-                if hasattr(self.structure, "_touched"):
-                    self.structure._touched |= prev_touched
+                fresh = [self._build_from_graph(st) for st in self.structures]
+                for st, new, touched in zip(self.structures, fresh, prev_touched):
+                    rollback(st, capture(new))
+                    if hasattr(st, "_touched"):
+                        st._touched |= touched
                 if self.healthy():
                     return
             except BaseException as exc:
                 last = exc
         raise RecoveryError(
-            f"all {self.max_rebuild_attempts} rebuild attempts failed "
+            f"all {MAX_REBUILD_ATTEMPTS} rebuild attempts failed "
             f"(last error: {last!r})"
         )
 
-    def _build_from_graph(self) -> Any:
-        st = self.structure
+    def _build_from_graph(self, st: Any) -> Any:
         edges = sorted(self.graph.edges)
         if isinstance(st, BalancedOrientation):
             from ..core.bulk import from_graph
@@ -277,6 +284,6 @@ class RecoveryManager:
             seed=st.seed,
             h_max=st.h_max,
         )
-        for i in range(0, len(edges), self.rebuild_chunk):
-            fresh.insert_batch(edges[i : i + self.rebuild_chunk])
+        for i in range(0, len(edges), REBUILD_CHUNK):
+            fresh.insert_batch(edges[i : i + REBUILD_CHUNK])
         return fresh

@@ -4,10 +4,10 @@ One :class:`TenantShard` owns everything a tenant graph needs:
 
 * the batch-dynamic ladders (a :class:`~repro.core.coreness.CorenessDecomposition`
   and/or :class:`~repro.core.density.DensityEstimator`, per the tenant's
-  ``mode``), each wrapped in a
-  :class:`~repro.resilience.recovery.RecoveryManager` so an injected or
-  organic fault mid-batch escalates through rollback → checkpoint replay
-  → rebuild instead of corrupting the tenant;
+  ``mode``), all wrapped in one
+  :class:`~repro.resilience.recovery.RecoveryManager`, so a batch commits
+  to every ladder or to none and a fault mid-batch escalates through
+  rollback → checkpoint replay → rebuild instead of corrupting the tenant;
 * a write-ahead :class:`~repro.graphs.tracefile.TraceWriter` log —
   :meth:`accept` appends (and flushes) the batch *before* anything
   applies, which is the durability point an ingest ack refers to;
@@ -20,12 +20,13 @@ One :class:`TenantShard` owns everything a tenant graph needs:
 * periodic full checkpoints (``checkpoint.json``, atomic rename) so a
   restart replays only the WAL suffix.
 
-Restart story (:meth:`TenantShard.open`): read ``meta.json`` for the
-construction parameters, load the WAL through the torn-tail-tolerant
-:func:`~repro.graphs.tracefile.recover_trace`, restore the newest usable
-checkpoint, and replay the suffix through the recovery managers.  The
-ladders are deterministic functions of (parameters, batch sequence), so
-a recovered tenant answers bit-identically to one that never died.
+Restart story (constructing a :class:`TenantShard`): read ``meta.json``
+for the construction parameters, load the WAL through the
+torn-tail-tolerant :func:`~repro.graphs.tracefile.recover_trace`, restore
+the newest usable checkpoint, and replay the suffix through the recovery
+manager.  The ladders are deterministic functions of (parameters, batch
+sequence), so a recovered tenant answers bit-identically to one that
+never died.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from ..core.coreness import CorenessDecomposition
 from ..core.density import DensityEstimator
 from ..errors import BatchError, ParameterError, ReproError
 from ..graphs.graph import DynamicGraph, normalize_batch
-from ..graphs.streams import BatchOp
+from ..graphs.streams import BatchOp, replay
 from ..graphs.tracefile import TraceWriter, recover_trace
 from ..instrument import wallclock as _wallclock
 from ..instrument.work_depth import CostModel
@@ -149,13 +150,10 @@ class TenantShard:
         wal_ops = self._load_wal()
         self.accepted = len(wal_ops)  # batches durably in the WAL
         self.applied = 0  # batches committed into the ladders
-        self.managers: dict[str, RecoveryManager] = {}
         self._recover(wal_ops)
         # mirror used to validate *accepted* (possibly not yet applied)
-        # batches; replays the full WAL so accept-order validation holds.
-        self.accepted_graph = DynamicGraph(0)
-        for op in wal_ops:
-            self._mirror(self.accepted_graph, op)
+        # batches; at open every accepted batch has been applied.
+        self.accepted_graph = self.manager.graph.copy()
         self.snapshot = self._build_snapshot()
         self._writer = TraceWriter(
             self.directory / WAL_NAME, append=True, sync=sync
@@ -193,6 +191,9 @@ class TenantShard:
         mode = self.config.mode
         return ("coreness", "density") if mode == "both" else (mode,)
 
+    def _ladders(self) -> dict[str, Any]:
+        return dict(zip(self._ladder_kinds(), self.manager.structures))
+
     def _fresh_structure(self, kind: str) -> Any:
         cls = CorenessDecomposition if kind == "coreness" else DensityEstimator
         return cls(
@@ -206,18 +207,16 @@ class TenantShard:
     def _recover(self, wal_ops: list[BatchOp]) -> None:
         """Checkpoint restore + WAL-suffix replay (or full replay)."""
         position, structures = self._restore_checkpoint(len(wal_ops))
-        for kind, structure in structures.items():
-            graph = DynamicGraph(0)
-            for op in wal_ops[:position]:
-                self._mirror(graph, op)
-            self.managers[kind] = RecoveryManager(structure, graph=graph)
+        graph = DynamicGraph(0)
+        replay(wal_ops[:position], graph)
+        self.manager = RecoveryManager(*structures, graph=graph)
         self.applied = position
         for op in wal_ops[position:]:
-            self._apply_managers(op)
+            self.manager.apply(op)
             self.applied += 1
 
-    def _restore_checkpoint(self, wal_len: int) -> tuple[int, dict[str, Any]]:
-        """``(position, structures)`` to resume from.
+    def _restore_checkpoint(self, wal_len: int) -> tuple[int, list[Any]]:
+        """``(position, structures in :meth:`_ladder_kinds` order)``.
 
         A checkpoint that is missing, torn, ahead of the WAL, or that
         parses but will not restore yields ``(0, fresh structures)`` —
@@ -228,15 +227,15 @@ class TenantShard:
         payload = self._read_checkpoint()
         if payload is not None and payload["position"] <= wal_len:
             try:
-                return payload["position"], {
-                    kind: ckpt.restore_checkpoint(
+                return payload["position"], [
+                    ckpt.restore_checkpoint(
                         payload["structures"][kind], cm=self.cm
                     )
                     for kind in kinds
-                }
+                ]
             except (ReproError, ValueError, TypeError):
                 pass
-        return 0, {kind: self._fresh_structure(kind) for kind in kinds}
+        return 0, [self._fresh_structure(kind) for kind in kinds]
 
     def _read_checkpoint(self) -> Optional[dict[str, Any]]:
         path = self.directory / CHECKPOINT_NAME
@@ -258,13 +257,6 @@ class TenantShard:
         return {"position": position, "structures": structures}
 
     # -- the ingest path ------------------------------------------------------
-
-    @staticmethod
-    def _mirror(graph: DynamicGraph, op: BatchOp) -> None:
-        if op.kind == "insert":
-            graph.insert_batch(op.edges)
-        else:
-            graph.delete_batch(op.edges)
 
     def validate(self, op: BatchOp) -> BatchOp:
         """Check a batch against the accepted state; returns it canonical.
@@ -300,7 +292,7 @@ class TenantShard:
             raise BatchError(f"tenant {self.name!r} is closed")
         op = self.validate(op)
         self._writer.append(op)
-        self._mirror(self.accepted_graph, op)
+        replay((op,), self.accepted_graph)
         self.accepted += 1
         if self.registry is not None:
             self.registry.counter(
@@ -313,10 +305,6 @@ class TenantShard:
 
     # -- the apply path (shard writer thread) ---------------------------------
 
-    def _apply_managers(self, op: BatchOp) -> None:
-        for manager in self.managers.values():
-            manager.apply(op)
-
     def apply(self, op: BatchOp) -> int:
         """Commit one accepted batch into the ladders; returns the epoch.
 
@@ -326,7 +314,7 @@ class TenantShard:
         never a mixture.
         """
         t0 = _wallclock.monotonic()
-        self._apply_managers(op)
+        self.manager.apply(op)
         self.applied += 1
         self.snapshot = self._build_snapshot()
         if self.applied % self.checkpoint_every == 0:
@@ -344,25 +332,24 @@ class TenantShard:
         return self.applied
 
     def _build_snapshot(self) -> Snapshot:
-        cor = self.managers.get("coreness")
-        den = self.managers.get("density")
+        ladders = self._ladders()
+        graph = self.manager.graph
         coreness = max_core = None
         density = arboricity = max_out = out_nb = None
-        if cor is not None:
-            st = cor.structure
+        if "coreness" in ladders:
+            st = ladders["coreness"]
             coreness = dict(st.estimates())
             max_core = st.max_estimate()
-        if den is not None:
-            st = den.structure
+        if "density" in ladders:
+            st = ladders["density"]
             density = st.density_estimate()
             arboricity = st.arboricity_estimate()
             max_out = st.max_outdegree()
             out_nb = {
                 v: tuple(sorted(st.orientation_out(v)))
-                for v in sorted(den.graph.adj)
-                if den.graph.adj[v]
+                for v in sorted(graph.adj)
+                if graph.adj[v]
             }
-        graph = (cor or den).graph
         return Snapshot(
             epoch=self.applied,
             live_edges=len(graph.edges),
@@ -381,8 +368,8 @@ class TenantShard:
         payload = {
             "position": self.applied,
             "structures": {
-                kind: ckpt.checkpoint(manager.structure)
-                for kind, manager in self.managers.items()
+                kind: ckpt.checkpoint(structure)
+                for kind, structure in self._ladders().items()
             },
         }
         _atomic_write(self.directory / CHECKPOINT_NAME, json.dumps(payload))

@@ -212,14 +212,13 @@ class _ConfigRun:
                 [FaultSpec(site=s, hit=h, action=a) for s, h, a in cfg.faults],
                 seed=seed,
             )
-        self.managers = None
+        self.manager = None
         if cfg.recovery:
             from ..resilience.recovery import RecoveryManager
 
-            self.managers = [
-                RecoveryManager(self.core, checkpoint_every=4),
-                RecoveryManager(self.dens, checkpoint_every=4),
-            ]
+            self.manager = RecoveryManager(
+                self.core, self.dens, checkpoint_every=4
+            )
 
     def apply(self, op: BatchOp) -> None:
         """Apply one batch under this config's injection/telemetry regime."""
@@ -242,9 +241,8 @@ class _ConfigRun:
             self._apply_raw(op)
 
     def _apply_raw(self, op: BatchOp) -> None:
-        if self.managers is not None:
-            for manager in self.managers:
-                manager.apply(op)
+        if self.manager is not None:
+            self.manager.apply(op)
         elif op.kind == "insert":
             self.core.insert_batch(op.edges)
             self.dens.insert_batch(op.edges)

@@ -3,6 +3,7 @@ taint propagation, capture-capability — over synthetic fixture packages."""
 
 from __future__ import annotations
 
+import pathlib
 import textwrap
 
 from repro.analysis.project import (
@@ -226,3 +227,28 @@ class TestCaptureCapability:
     def test_unknown_class_is_unresolvable(self, tmp_path):
         project = build_project(tmp_path, self.FILES)
         assert project.capture_capable("mod", "Elsewhere") is not True
+
+
+class TestRecoveryGuardedRegion:
+    """REP-X001/X002 see the recovery manager's guarded attempt.
+
+    The collector recognises only a literal ``with guarded(x):``; were
+    the multi-structure attempt rewritten through, say,
+    ``ExitStack.enter_context(guarded(...))``, the region would drop out
+    of the exception-safety rules while reprolint still reported clean.
+    A target the checker cannot resolve (``guarded(xs[0])``) is skipped
+    too, so the region must guard a plain name.
+    """
+
+    def test_recovery_module_yields_a_guarded_region(self):
+        path = (
+            pathlib.Path(__file__).resolve().parents[2]
+            / "src" / "repro" / "resilience" / "recovery.py"
+        )
+        project = ProjectContext([summarize_module(str(path), path.read_text())])
+        regions = [
+            region
+            for _summary, fs in project.all_functions()
+            for region in fs.guarded_regions
+        ]
+        assert any(region.target_kind == "name" for region in regions)

@@ -6,6 +6,7 @@ from repro.core.balanced import BalancedOrientation
 from repro.core.coreness import CorenessDecomposition
 from repro.errors import BatchError, RecoveryError
 from repro.graphs.streams import BatchOp, churn
+from repro.resilience import recovery
 from repro.resilience.faults import FaultInjector, FaultSpec, injecting
 from repro.resilience.recovery import RecoveryManager
 
@@ -82,10 +83,12 @@ class TestTiers:
             outcomes = [mgr.apply(op) for op in OPS]
         assert set(outcomes) > {"ok"}
         assert mgr.audit().ok
-        mgr.structure.check_invariants()
+        mgr.structures[0].check_invariants()
 
-    def test_unbounded_burst_raises_recovery_error(self):
-        mgr = _manager(max_recovery_rounds=2, max_rebuild_attempts=1)
+    def test_unbounded_burst_raises_recovery_error(self, monkeypatch):
+        monkeypatch.setattr(recovery, "MAX_RECOVERY_ROUNDS", 2)
+        monkeypatch.setattr(recovery, "MAX_REBUILD_ATTEMPTS", 1)
+        mgr = _manager()
         # every traversal of the site faults: recovery can never finish
         specs = [FaultSpec("tokens.drop.phase", hit=h) for h in range(1, 400)]
         with injecting(FaultInjector(specs)):
@@ -117,7 +120,7 @@ class TestBoundedHistory:
                 bare.insert_batch(op.edges)
             else:
                 bare.delete_batch(op.edges)
-        assert dict(mgr.structure.tail_of) == dict(bare.tail_of)
+        assert dict(mgr.structures[0].tail_of) == dict(bare.tail_of)
 
     def test_recovery_tiers_still_work_after_trim(self):
         mgr = _manager(checkpoint_every=3)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.coreness import CorenessDecomposition
 from repro.core.density import DensityEstimator
-from repro.errors import BatchError, ParameterError
+from repro.errors import BatchError, ParameterError, RecoveryError
 from repro.graphs.streams import BatchOp
 from repro.instrument.work_depth import CostModel
 from repro.service.state import (
@@ -243,3 +243,82 @@ class TestModesAndDiscovery:
         assert shard.pending == 1
         shard.apply(op)
         assert shard.pending == 0
+
+
+class TestChargePins:
+    """Model cost of a fault-free mode-``both`` ingest, pinned.
+
+    Eighteen batches cross the shard's on-disk checkpoint (every 4) and
+    the recovery manager's in-memory one (every 16), so every capture
+    the write path makes is charged here.  Any refactor of the recovery
+    or checkpoint plumbing must leave these totals bit-identical.
+    """
+
+    def test_ingest_work_depth_and_answers(self, tmp_path):
+        batches = churn_batches(CFG.n, seed=4, count=18, size=5)
+        shard = TenantShard("t", tmp_path / "t", CFG, checkpoint_every=4)
+        drive(shard, batches)
+        snap = shard.snapshot
+        assert (shard.cm.work, shard.cm.depth) == (11232399, 676031)
+        assert (dict(snap.coreness), snap.density) == oracle_answers(
+            CFG, batches
+        )[len(batches)]
+        assert (
+            snap.epoch,
+            snap.live_edges,
+            snap.max_coreness,
+            snap.arboricity,
+            snap.max_outdegree,
+        ) == (18, 50, 2.0, 4.0, 3)
+        shard.close()
+
+
+class TestEpochAtomicity:
+    """A mode-``both`` batch commits to both ladders or to neither."""
+
+    def _shard(self, tmp_path, name="t"):
+        shard = TenantShard(name, tmp_path / name, CFG, checkpoint_every=4)
+        drive(shard, churn_batches(CFG.n, seed=7, count=6, size=4))
+        return shard
+
+    def test_density_failure_leaves_coreness_uncommitted(
+        self, tmp_path, monkeypatch
+    ):
+        shard = self._shard(tmp_path)
+        manager = shard.manager
+        before = dict(manager.structures[0].estimates())
+        applied = manager.applied
+
+        def always_fail(self, edges):
+            raise RuntimeError("density ladder down")
+
+        monkeypatch.setattr(DensityEstimator, "insert_batch", always_fail)
+        op = BatchOp("insert", ((0, 31), (1, 30)))
+        shard.accept(op)
+        with pytest.raises(RecoveryError):
+            shard.apply(op)
+        assert dict(manager.structures[0].estimates()) == before
+        assert manager.applied == applied
+        assert shard.snapshot.epoch == applied
+
+    def test_one_density_fault_rolls_back_both(self, tmp_path, monkeypatch):
+        clean = self._shard(tmp_path, "clean")
+        shard = self._shard(tmp_path)
+        original = DensityEstimator.insert_batch
+        calls = []
+
+        def fail_once(self, edges):
+            calls.append(edges)
+            if len(calls) == 1:
+                raise RuntimeError("transient density fault")
+            return original(self, edges)
+
+        monkeypatch.setattr(DensityEstimator, "insert_batch", fail_once)
+        op = BatchOp("insert", ((0, 31), (1, 30)))
+        shard.accept(op)
+        shard.apply(op)
+        monkeypatch.undo()
+        clean.accept(op)
+        clean.apply(op)
+        assert shard.manager.stats.counts == {"ok": 6, "rollback": 1}
+        assert shard.snapshot == clean.snapshot

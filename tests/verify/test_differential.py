@@ -100,3 +100,19 @@ class TestMinimizeDiff:
         replay = run_diff(minimal, configs=probe, eps=0.4, constants=SMALL,
                           seed=3, n=16)
         assert not replay.ok
+
+
+class TestChargePins:
+    def test_chaos_recovered_cost_pinned(self):
+        """The recovered member's model cost on a short churn stream.
+
+        The planned fault fires inside the coreness ladder, so the pin
+        covers one tier-1 rollback and retry; a change to how the
+        recovery manager captures, rolls back or retries moves it.
+        """
+        ops = streams.churn(14, steps=10, batch_size=4, seed=6)
+        panel = configs_by_name(["serial", "chaos-recovered"])
+        report = run_diff(ops, configs=panel, eps=0.4, constants=SMALL,
+                          seed=6, n=14)
+        assert report.ok, report.render()
+        assert report.cost_totals["chaos-recovered"] == (1020823, 53817)
