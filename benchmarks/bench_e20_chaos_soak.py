@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.instrument import render_table
 from repro.resilience.chaos import chaos_soak
+from repro.scenarios import ScenarioParams
 
 from common import CONSTANTS, Experiment
 
@@ -39,9 +40,7 @@ def soak(structure: str):
             trials=trials,
             seed=20,
             faults_per_trial=faults,
-            batches=12,
-            batch_size=5,
-            n=20,
+            params=ScenarioParams(n=20, batches=12, batch_size=5),
             constants=CONSTANTS,
             deep_audit=(structure == "balanced"),
         )
@@ -129,9 +128,7 @@ def test_e20_wallclock(benchmark):
             trials=2,
             seed=9,
             faults_per_trial=2,
-            batches=8,
-            batch_size=4,
-            n=16,
+            params=ScenarioParams(n=16, batches=8, batch_size=4),
             constants=CONSTANTS,
         ),
         rounds=2,

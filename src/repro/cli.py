@@ -339,10 +339,6 @@ def cmd_profile(args) -> int:
                 jsonl.close()
         return cm, timer, tracer
 
-    return _profile_body(args, measure)
-
-
-def _profile_body(args, measure) -> int:
     cm, timer, tracer = measure(armed=True)
     root = tracer.root
     if root.work != cm.work or root.total_self_work() != root.work:
@@ -373,10 +369,10 @@ def _profile_body(args, measure) -> int:
         print(f"wrote {path}")
 
     if args.check:
+        from .verify import cost_view
+
         cm2, _timer2, _ = measure(armed=False)
-        armed_view = (cm.work, cm.depth, dict(cm.counters))
-        bare_view = (cm2.work, cm2.depth, dict(cm2.counters))
-        if armed_view != bare_view:
+        if cost_view(cm) != cost_view(cm2):
             print(
                 "check FAILED: telemetry perturbed the cost model\n"
                 f"  armed:    work={cm.work} depth={cm.depth}\n"
@@ -411,17 +407,17 @@ def cmd_exact(args) -> int:
 def cmd_chaos(args) -> int:
     """Chaos-soak the dynamic structures under seeded fault injection."""
     from .resilience.chaos import STRUCTURES, chaos_soak, render_soak_summary
+    from .scenarios import ScenarioParams
 
     targets = list(STRUCTURES) if args.structure == "all" else [args.structure]
+    params = ScenarioParams(args.n, args.batches, args.batch_size)
     reports = []
     for structure in targets:
         report = chaos_soak(
             structure,
             trials=args.trials,
             seed=args.seed,
-            n=args.n,
-            batches=args.batches,
-            batch_size=args.batch_size,
+            params=params,
             faults_per_trial=args.faults,
             constants=CONSTANTS,
             deep_audit=not args.no_deep_audit,
@@ -616,15 +612,30 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _fault_triple(text: str) -> tuple[str, int, str]:
+    """Parse and validate ``SITE[:HIT[:ACTION]]`` (the ``--inject`` value)."""
+    from .errors import ParameterError
+    from .resilience.faults import FaultSpec
+
+    site, _, rest = text.partition(":")
+    hit, _, action = rest.partition(":")
+    try:
+        spec = FaultSpec(site=site, hit=int(hit or 1), action=action or "raise")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"HIT must be an integer, got {hit!r}") from None
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return (spec.site, spec.hit, spec.action)
+
+
 def cmd_verify_diff(args) -> int:
     """Differential replay: one stream, every execution config, zero drift."""
     from .verify import (
         RunnerConfig,
         configs_by_name,
         default_configs,
-        minimize_diff,
+        minimize_repro,
         run_diff,
-        write_artifact,
     )
 
     if args.trace:
@@ -641,37 +652,18 @@ def cmd_verify_diff(args) -> int:
     else:
         panel = default_configs()
     if args.inject:
-        site, _, rest = args.inject.partition(":")
-        hit_s, _, action = rest.partition(":")
         panel = panel + [
-            RunnerConfig(
-                "injected",
-                faults=((site, int(hit_s) if hit_s else 1, action or "raise"),),
-                cost_class=None,
-            )
+            RunnerConfig("injected", faults=(args.inject,), cost_class=None)
         ]
-    report = run_diff(
-        ops,
-        configs=panel,
-        eps=args.eps,
-        constants=CONSTANTS,
-        seed=args.seed,
-        n=n,
-        deep_every=args.deep_every,
-    )
+    params = {"eps": args.eps, "seed": args.seed, "n": n, "deep_every": args.deep_every}
+    report = run_diff(ops, configs=panel, constants=CONSTANTS, **params)
     print(report.render())
     if report.ok:
         return 0
     if args.minimize or args.artifact_out:
-        minimal, probe = minimize_diff(
-            ops,
-            report,
-            configs=panel,
-            eps=args.eps,
-            constants=CONSTANTS,
-            seed=args.seed,
-            n=n,
-            deep_every=args.deep_every,
+        minimal, path = minimize_repro(
+            ops, report, args.artifact_out, configs=panel, constants=CONSTANTS,
+            **params,
         )
         print(
             f"\nminimized repro: {len(minimal)} batch(es), "
@@ -679,27 +671,7 @@ def cmd_verify_diff(args) -> int:
         )
         for op in minimal:
             print(f"  {op.kind} {list(op.edges)}")
-        if args.artifact_out:
-            path = write_artifact(
-                args.artifact_out,
-                kind="diff",
-                ops=minimal,
-                params={
-                    "eps": args.eps,
-                    "seed": args.seed,
-                    "n": n,
-                    "deep_every": args.deep_every,
-                },
-                configs=probe,
-                constants=CONSTANTS,
-                expected={
-                    "divergences": [
-                        f"batch {d.batch} [{d.config}] {d.observable}"
-                        for d in report.divergences
-                    ],
-                    "oracle_findings": len(report.oracle_findings),
-                },
-            )
+        if path is not None:
             print(f"wrote repro artifact to {path}")
     return 1
 
@@ -799,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--configs", metavar="A,B,...",
                    help="comma-separated panel (default: serial, telemetry, "
                         "chaos-recovered)")
-    d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]",
+    d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]", type=_fault_triple,
                    help="add an un-recovered fault-injected config (the "
                         "harness must catch and shrink it)")
     d.add_argument("--minimize", action="store_true",

@@ -17,7 +17,8 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
   :class:`~repro.resilience.recovery.RecoveryManager`: rollback →
   checkpoint + suffix replay → full rebuild, recording which tier fired.
 * :mod:`~repro.resilience.chaos` — the randomized soak harness behind
-  ``repro chaos`` and benchmark E20.
+  ``repro chaos`` and benchmark E20: seeded one-member differential
+  panels (:func:`~repro.verify.differential.run_diff`).
 
 ``faults`` and ``guard`` import nothing from :mod:`repro.core` at module
 scope (the token games import ``faults``); the heavier layers are loaded
@@ -37,8 +38,6 @@ _LAZY = {
     "RecoveryManager": ".recovery",
     "ChaosReport": ".chaos",
     "chaos_soak": ".chaos",
-    "run_trial": ".chaos",
-    "minimize_trial": ".chaos",
 }
 
 __all__ = [

@@ -1,52 +1,50 @@
 """Chaos soak harness — randomized fault injection over replayed streams.
 
 One *trial* = one structure, one generated update stream, one seeded
-:class:`~repro.resilience.faults.FaultInjector` plan.  The stream is
-applied through a :class:`~repro.resilience.recovery.RecoveryManager`
-while faults fire at the instrumented sites; afterwards the trial is
-judged by the full post-recovery audits:
+fault plan.  A trial is a one-member differential panel
+(:func:`~repro.verify.differential.run_diff`): the member applies the
+stream through a :class:`~repro.resilience.recovery.RecoveryManager`
+while faults fire at the instrumented sites, and is then judged by the
+panel's final verdict for recovered members:
 
 * the managed structure's invariants and (for an orientation) its arc
   set against the ground-truth graph;
 * a fault-free :func:`~repro.verify.audits.replay_audit` of the
   committed batches (orientation trials);
 * the coreness/density approximation bands against the exact oracles
-  (ladder trials).
+  (ladder trials, with ``deep_audit``).
 
 The soak aggregates the per-trial
 :class:`~repro.instrument.metrics.RecoveryStats` scoreboards into a
 :class:`ChaosReport`; ``report.ok`` means every injected fault was
 recovered and every audit came back green.  Everything is seeded — a
 failing ``(structure, seed, trial)`` triple replays exactly.
-
-The trial body is factored out as :func:`run_trial` so the verify
-subsystem can re-run it verbatim: ``chaos_soak(minimize=True)`` shrinks
-every failing trial's stream with the ddmin minimizer
-(:mod:`repro.verify.minimize`) and, given ``artifact_dir``, writes a
-replayable repro artifact per failure (``repro verify --replay``).
+``chaos_soak(minimize=True)`` shrinks every failing trial's stream with
+the panel's ddmin minimizer and, given ``artifact_dir``, writes it as a
+replayable ``"diff"`` artifact (``repro verify --replay``).
 """
 
 from __future__ import annotations
 
 import pathlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants
-from ..core.balanced import BalancedOrientation
-from ..core.coreness import CorenessDecomposition
-from ..core.density import DensityEstimator
-from ..errors import ParameterError, RecoveryError
 from ..graphs.graph import norm_edge
 from ..graphs.streams import BatchOp, churn, insert_then_delete, sliding_window
 from ..instrument.metrics import RecoveryStats, render_table
-from ..verify.audits import audit_coreness, audit_density, replay_audit
-from .faults import SITES, FaultInjector, FaultSpec, injecting
-from .recovery import RecoveryManager
+from ..scenarios.registry import ScenarioParams, scenario_stream
+from ..verify.artifact import minimize_repro
+from ..verify.differential import RunnerConfig, run_diff
+from .faults import SITES, FaultInjector
 
 STRUCTURES = ("balanced", "coreness", "density")
 _STREAM_KINDS = ("churn", "insert_then_delete", "sliding_window")
+
+#: The trial stream shape of ``repro chaos``: vertices, batches, batch size.
+DEFAULT_STREAM = ScenarioParams(n=24, batches=20, batch_size=6)
 
 
 @dataclass
@@ -94,18 +92,17 @@ def _random_edges(rng: random.Random, n: int, count: int) -> list[tuple[int, int
     return sorted(edges)
 
 
-def make_stream(
-    kind: str, n: int, batches: int, batch_size: int, seed: int
-) -> list[BatchOp]:
+def make_stream(kind: str, params: ScenarioParams) -> list[BatchOp]:
     """Build one trial stream: a legacy shape or any registered scenario.
 
     ``kind`` is one of the uniform-random legacy shapes
-    (:data:`_STREAM_KINDS`) or a name from the adversarial scenario
-    catalog (:mod:`repro.scenarios.registry`) — so every soak entry
-    point (chaos trials, E20, ``repro scenarios``) draws workloads from
-    one dispatcher.  Deterministic under ``seed``.
+    (:data:`_STREAM_KINDS`), which read ``n``, ``batches``,
+    ``batch_size`` and ``seed`` from ``params``, or a name from the
+    adversarial scenario catalog (:mod:`repro.scenarios.registry`),
+    which reads all of ``params``.  Deterministic under ``params``.
     """
-    rng = random.Random(seed)
+    rng = random.Random(params.seed)
+    n, batches, batch_size = params.n, params.batches, params.batch_size
     if kind == "churn":
         return churn(n, batches, batch_size, seed=rng)
     if kind in ("insert_then_delete", "sliding_window"):
@@ -113,110 +110,7 @@ def make_stream(
         if kind == "insert_then_delete":
             return insert_then_delete(edges, batch_size, seed=rng)
         return sliding_window(edges, window=2, batch_size=batch_size)
-    from ..scenarios.registry import ScenarioParams, scenario_stream
-
-    params = ScenarioParams(
-        n=max(n, 8), batches=batches, batch_size=batch_size, seed=seed
-    )
     return list(scenario_stream(kind, params))
-
-
-def _make_structure(
-    structure: str, n: int, H: int, eps: float, seed: int, constants: Constants
-):
-    if structure == "balanced":
-        return BalancedOrientation(H, constants=constants)
-    if structure == "coreness":
-        return CorenessDecomposition(n, eps=eps, constants=constants, seed=seed)
-    if structure == "density":
-        return DensityEstimator(n, eps=eps, constants=constants, seed=seed)
-    raise ParameterError(
-        f"unknown structure {structure!r}; expected one of {STRUCTURES}"
-    )
-
-
-def run_trial(
-    structure: str,
-    ops: Sequence[BatchOp],
-    injector: FaultInjector,
-    *,
-    n: int,
-    H: int = 4,
-    eps: float = 0.35,
-    checkpoint_every: int = 5,
-    audit_every: int = 1,
-    constants: Constants = DEFAULT_CONSTANTS,
-    seed: int = 0,
-    deep_audit: bool = True,
-    tag: str = "trial",
-) -> tuple[list[str], RecoveryManager]:
-    """One chaos trial, start to verdict: build, inject, recover, audit.
-
-    Returns the findings (empty means the trial is green) and the
-    :class:`RecoveryManager` for its stats.  Deterministic given
-    ``(structure, ops, injector specs+seed, params)`` — the minimizer and
-    ``repro verify --replay`` both rely on re-running this verbatim.
-    """
-    st = _make_structure(structure, n, H, eps, seed, constants)
-    manager = RecoveryManager(
-        st, checkpoint_every=checkpoint_every, audit_every=audit_every
-    )
-    findings: list[str] = []
-    with injecting(injector):
-        for op in ops:
-            try:
-                manager.apply(op)
-            except RecoveryError as exc:
-                findings.append(f"{tag}: unrecovered batch: {exc}")
-                break
-    # the manager applies ``ops`` in order from a fresh structure, so its
-    # commit count is exactly the committed prefix
-    committed = ops[: manager.applied]
-    findings.extend(_trial_findings(manager, committed, tag, H, deep_audit))
-    return findings, manager
-
-
-def minimize_trial(
-    structure: str,
-    ops: Sequence[BatchOp],
-    fault_specs: Sequence[tuple[str, int, str]],
-    *,
-    injector_seed: int,
-    n: int,
-    H: int = 4,
-    eps: float = 0.35,
-    checkpoint_every: int = 5,
-    audit_every: int = 1,
-    constants: Constants = DEFAULT_CONSTANTS,
-    seed: int = 0,
-    deep_audit: bool = True,
-) -> list[BatchOp]:
-    """ddmin-shrink a failing trial's stream; the fault plan is replayed
-    fresh (same specs, same seed) against every candidate."""
-    from ..verify.minimize import minimize_stream
-
-    def still_fails(candidate: list[BatchOp]) -> bool:
-        probe = FaultInjector(
-            [FaultSpec(site=s, hit=h, action=a) for s, h, a in fault_specs],
-            seed=injector_seed,
-        )
-        findings, _manager = run_trial(
-            structure,
-            candidate,
-            probe,
-            n=n,
-            H=H,
-            eps=eps,
-            checkpoint_every=checkpoint_every,
-            audit_every=audit_every,
-            constants=constants,
-            seed=seed,
-            deep_audit=deep_audit,
-            tag="minimize",
-        )
-        return bool(findings)
-
-    return minimize_stream(ops, still_fails)
 
 
 def chaos_soak(
@@ -224,13 +118,9 @@ def chaos_soak(
     *,
     trials: int = 10,
     seed: int = 0,
-    n: int = 24,
-    batches: int = 20,
-    batch_size: int = 6,
+    params: ScenarioParams = DEFAULT_STREAM,
     faults_per_trial: int = 2,
     H: int = 4,
-    eps: float = 0.35,
-    checkpoint_every: int = 5,
     audit_every: int = 1,
     constants: Constants = DEFAULT_CONSTANTS,
     sites: Optional[Sequence[str]] = None,
@@ -241,16 +131,18 @@ def chaos_soak(
 ) -> ChaosReport:
     """Run ``trials`` seeded fault-injection trials; fully deterministic.
 
-    Stream shapes rotate per trial through ``stream_kinds`` — by default
-    churn / insert-then-delete / sliding-window, so inserts, deletes and
-    mixed workloads all see faults; any registered adversarial scenario
-    name (:mod:`repro.scenarios`) can stand in, which is how the
-    ``repro scenarios`` soak reuses this harness verbatim.
-    ``deep_audit=False`` skips the exact-oracle band audits (the
-    per-batch health checks and replay audit still run).
-    ``minimize=True`` shrinks every failing trial's stream to a minimal
-    repro; with ``artifact_dir`` each is written as a replayable artifact
-    and listed in ``report.repros``.
+    Trial ``t`` draws its stream from ``replace(params, seed=trial_seed)``
+    with ``trial_seed = seed * 7919 + t``; the stream shape rotates per
+    trial through ``stream_kinds`` — by default churn /
+    insert-then-delete / sliding-window, so inserts, deletes and mixed
+    workloads all see faults; any registered adversarial scenario name
+    (:mod:`repro.scenarios`) can stand in, which is how the ``repro
+    scenarios`` soak runs its chaos side.  The fault plan is seeded with
+    ``trial_seed ^ 0x5EED``.  ``deep_audit=False`` skips the
+    exact-oracle audits (the per-batch health checks and replay
+    audit still run).  ``minimize=True`` shrinks every failing trial's
+    stream to a minimal repro; with ``artifact_dir`` each is written as a
+    replayable artifact and listed in ``report.repros``.
     """
     report = ChaosReport(structure=structure)
     site_pool = tuple(sites) if sites is not None else tuple(sorted(SITES))
@@ -258,141 +150,52 @@ def chaos_soak(
     for trial in range(trials):
         trial_seed = seed * 7919 + trial
         kind = kinds[trial % len(kinds)]
-        ops = make_stream(kind, n, batches, batch_size, trial_seed)
+        ops = make_stream(kind, replace(params, seed=trial_seed))
         injector_seed = trial_seed ^ 0x5EED
-        injector = FaultInjector.plan(
+        plan = FaultInjector.plan(
             seed=injector_seed, count=faults_per_trial, sites=site_pool
-        )
-        spec_triples = tuple((s.site, s.hit, s.action) for s in injector.pending)
-        report.faults_planned += len(injector.pending)
-        tag = f"trial {trial} ({kind}, seed {trial_seed})"
-        findings, manager = run_trial(
-            structure,
-            ops,
-            injector,
-            n=n,
-            H=H,
-            eps=eps,
-            checkpoint_every=checkpoint_every,
+        ).specs
+        member = RunnerConfig(
+            "chaos",
+            recovery=True,
+            faults=tuple((s.site, s.hit, s.action) for s in plan),
+            cost_class=None,
+            injector_seed=injector_seed,
             audit_every=audit_every,
-            constants=constants,
-            seed=trial_seed,
-            deep_audit=deep_audit,
-            tag=tag,
         )
-        report.faults_fired += len(injector.fired)
+        run = dict(
+            kind=structure,
+            H=H,
+            seed=trial_seed,
+            n=params.n,
+            deep_every=int(deep_audit),
+        )
+        diff = run_diff(ops, configs=[member], constants=constants, **run)
+        stats = diff.recovery[member.name]
         report.trials += 1
-        report.batches += manager.stats.batches
-        report.stats.merge(manager.stats)
-        report.findings.extend(findings)
-        if findings and minimize:
-            _minimize_and_record(
-                report,
-                structure,
-                ops,
-                spec_triples,
-                trial=trial,
-                injector_seed=injector_seed,
-                n=n,
-                H=H,
-                eps=eps,
-                checkpoint_every=checkpoint_every,
-                audit_every=audit_every,
-                constants=constants,
-                seed=trial_seed,
-                deep_audit=deep_audit,
-                artifact_dir=artifact_dir,
+        report.batches += stats.batches
+        report.stats.merge(stats)
+        report.faults_planned += len(plan)
+        report.faults_fired += diff.faults_fired.get(member.name, 0)
+        if diff.ok:
+            continue
+        tag = f"trial {trial} ({kind}, seed {trial_seed})"
+        report.findings.extend(f"{tag}: {d.render()}" for d in diff.divergences)
+        if minimize:
+            path = None
+            if artifact_dir is not None:
+                name = f"repro_{structure}_{kind}_trial{trial}.json"
+                path = pathlib.Path(artifact_dir) / name
+            minimal, written = minimize_repro(
+                ops, diff, path, configs=[member], constants=constants, **run
             )
+            report.findings.append(
+                f"trial {trial}: minimized to {len(minimal)} batch(es), "
+                f"{sum(op.size for op in minimal)} edge(s)"
+            )
+            if written is not None:
+                report.repros.append(str(written))
     return report
-
-
-def _minimize_and_record(
-    report: ChaosReport,
-    structure: str,
-    ops: Sequence[BatchOp],
-    spec_triples: Sequence[tuple[str, int, str]],
-    *,
-    trial: int,
-    injector_seed: int,
-    n: int,
-    H: int,
-    eps: float,
-    checkpoint_every: int,
-    audit_every: int,
-    constants: Constants,
-    seed: int,
-    deep_audit: bool,
-    artifact_dir: Optional[str | pathlib.Path],
-) -> None:
-    minimal = minimize_trial(
-        structure,
-        ops,
-        spec_triples,
-        injector_seed=injector_seed,
-        n=n,
-        H=H,
-        eps=eps,
-        checkpoint_every=checkpoint_every,
-        audit_every=audit_every,
-        constants=constants,
-        seed=seed,
-        deep_audit=deep_audit,
-    )
-    report.findings.append(
-        f"trial {trial}: minimized to {len(minimal)} batch(es), "
-        f"{sum(op.size for op in minimal)} edge(s)"
-    )
-    if artifact_dir is None:
-        return
-    from ..verify.artifact import write_artifact
-
-    path = write_artifact(
-        pathlib.Path(artifact_dir) / f"repro_{structure}_trial{trial}.json",
-        kind="chaos",
-        ops=minimal,
-        params={
-            "n": n,
-            "H": H,
-            "eps": eps,
-            "checkpoint_every": checkpoint_every,
-            "audit_every": audit_every,
-            "seed": seed,
-            "injector_seed": injector_seed,
-            "deep_audit": deep_audit,
-        },
-        structure=structure,
-        faults=spec_triples,
-        constants=constants,
-        expected={"findings": ">= 1"},
-    )
-    report.repros.append(str(path))
-
-
-def _trial_findings(
-    manager: RecoveryManager,
-    committed: Sequence[BatchOp],
-    tag: str,
-    H: int,
-    deep_audit: bool,
-) -> list[str]:
-    findings: list[str] = []
-    final = manager.audit()
-    if not final.ok:
-        findings.append(f"{tag}: final audit red: {final.render()}")
-        return findings
-    st = manager.structures[0]
-    if isinstance(st, BalancedOrientation):
-        replay = replay_audit(committed, H=H, constants=st.constants)
-        if not replay.ok:
-            findings.append(f"{tag}: replay audit red: {replay.render()}")
-    elif deep_audit:
-        if isinstance(st, CorenessDecomposition):
-            band = audit_coreness(st, manager.graph)
-        else:
-            band = audit_density(st, manager.graph)
-        if not band.ok:
-            findings.append(f"{tag}: band audit red: {band.render()}")
-    return findings
 
 
 def render_soak_summary(reports: Sequence[ChaosReport]) -> str:

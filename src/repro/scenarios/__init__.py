@@ -32,7 +32,6 @@ from .soak import (
     SOAK_MODES,
     ScenarioSoakReport,
     render_scenario_summary,
-    soak_all,
     soak_scenario,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "render_scenario_summary",
     "scenario_names",
     "scenario_stream",
-    "soak_all",
     "soak_scenario",
     "suggested_height",
 ]

@@ -1,43 +1,47 @@
 """Every scenario as a first-class soak target.
 
 One :func:`soak_scenario` call takes a registered adversary through the
-two verdict machines the repo already trusts:
+one verdict machine, :func:`~repro.verify.differential.run_diff`, twice:
 
-* **chaos** — seeded fault-injection trials over the scenario's stream
-  via :func:`~repro.resilience.chaos.chaos_soak` (tiered recovery,
-  post-recovery audits, optional ddmin minimization + repro artifacts),
-  with the BALANCED(H) trials built at the scenario's *suggested* —
-  possibly deliberately wrong — height hint;
-* **diff** — the full three-config differential panel
-  (:func:`~repro.verify.differential.run_diff`) replaying the identical
-  stream, with periodic exact-oracle deep audits.
+* **chaos** — seeded fault-injection trials
+  (:func:`~repro.resilience.chaos.chaos_soak`), each a one-member panel
+  with tiered recovery, post-recovery audits and optional ddmin
+  minimization + repro artifacts.  Trial ``t`` replays the scenario's
+  stream under ``replace(params, seed=trial_seed)``, so the scale's
+  window and any caller-supplied params hold, and BALANCED(H) is built
+  at the scenario's *suggested* — possibly deliberately wrong — height
+  hint;
+* **diff** — the full three-config differential panel replaying the
+  scenario's stream under ``params`` itself, with periodic exact-oracle
+  deep audits.
 
-Both judge the same seeded stream, so a red verdict names the scenario,
-the seed and the failing machinery — and the chaos side ships a
-replayable minimized artifact.  Per-scenario workload counters land in
-the process-wide MetricsRegistry via
-:class:`~repro.instrument.metrics.ScenarioStats`.
+Both draw from the same scenario and params (the chaos side re-seeds
+per trial), so a red verdict names the scenario, the seed and the
+failing machinery — and the chaos side ships a replayable minimized
+artifact.  Per-scenario workload counters land in the process-wide
+MetricsRegistry via :class:`~repro.instrument.metrics.ScenarioStats`.
 """
 
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants
 from ..graphs.streams import BatchOp
 from ..instrument import trace as _trace
 from ..instrument.metrics import ScenarioStats, render_table
-from ..resilience.chaos import ChaosReport, chaos_soak
 from ..verify.differential import DiffReport, run_diff
 from .registry import (
     ScenarioParams,
     get_scenario,
     params_for,
-    scenario_names,
     suggested_height,
 )
+
+if TYPE_CHECKING:
+    from ..resilience.chaos import ChaosReport
 
 SOAK_MODES = ("chaos", "diff", "both")
 
@@ -53,7 +57,6 @@ class ScenarioSoakReport:
     suggested_H: int
     chaos: Optional[ChaosReport] = None
     diff: Optional[DiffReport] = None
-    notes: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -75,7 +78,6 @@ class ScenarioSoakReport:
             lines.append(self.chaos.render())
         if self.diff is not None:
             lines.append(self.diff.render())
-        lines.extend(f"note: {note}" for note in self.notes)
         return "\n".join(lines)
 
 
@@ -103,7 +105,6 @@ def soak_scenario(
     scale: str = "ci",
     seed: int = 0,
     mode: str = "both",
-    structure: str = "balanced",
     trials: int = 3,
     faults_per_trial: int = 2,
     deep_every: int = 0,
@@ -117,12 +118,15 @@ def soak_scenario(
 
     ``mode`` picks the machinery: ``chaos`` (fault injection under the
     adversarial load), ``diff`` (three-config differential panel), or
-    ``both``.  Chaos trials rotate only this scenario's stream
-    (``stream_kinds=[name]``) and BALANCED trials run at the scenario's
-    suggested height hint — for ``hint-misestimation`` that hint is
-    wrong by ``params.hint_factor``, by design.  Fully deterministic
-    under ``(name, scale, seed)``.
+    ``both``.  Chaos trials replay only this scenario's stream
+    (``stream_kinds=[name]``) under ``params`` re-seeded per trial, and
+    build BALANCED(H) at the scenario's suggested height hint — for
+    ``hint-misestimation`` that hint is wrong by ``params.hint_factor``,
+    by design.  ``eps`` sizes the diff side's ladders; BALANCED(H) has
+    no ``eps``.  Fully deterministic under ``(name, scale, seed)``.
     """
+    from ..resilience.chaos import chaos_soak
+
     if mode not in SOAK_MODES:
         raise ValueError(f"unknown soak mode {mode!r}; expected {SOAK_MODES}")
     p = params if params is not None else params_for(scale, seed=seed)
@@ -138,15 +142,12 @@ def soak_scenario(
     with _trace.span("scenario.soak", scenario=name, detail={"mode": mode}):
         if mode in ("chaos", "both"):
             report.chaos = chaos_soak(
-                structure,
+                "balanced",
                 trials=trials,
                 seed=seed,
-                n=p.n,
-                batches=p.batches,
-                batch_size=p.batch_size,
+                params=p,
                 faults_per_trial=faults_per_trial,
                 H=H,
-                eps=eps,
                 constants=constants,
                 minimize=minimize or artifact_dir is not None,
                 artifact_dir=artifact_dir,
@@ -162,16 +163,6 @@ def soak_scenario(
                 deep_every=deep_every,
             )
     return report
-
-
-def soak_all(
-    names: Optional[Sequence[str]] = None, **kwargs: object
-) -> list[ScenarioSoakReport]:
-    """Soak every (or the named) catalog scenario; one report each."""
-    return [
-        soak_scenario(name, **kwargs)  # type: ignore[arg-type]
-        for name in (names if names is not None else scenario_names())
-    ]
 
 
 def render_scenario_summary(reports: Sequence[ScenarioSoakReport]) -> str:

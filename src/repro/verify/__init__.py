@@ -6,10 +6,11 @@ Layered bottom-up, and imported in that order:
   the exact oracles;
 * :mod:`repro.verify.minimize` — deterministic ddmin shrinking of failing
   streams, with validity-preserving stream repair;
-* :mod:`repro.verify.differential` — one stream replayed through N named
-  execution configurations, outputs diffed per batch;
+* :mod:`repro.verify.differential` — the one trial runner: one stream
+  replayed through N named execution configurations, outputs diffed per
+  batch, recovered members judged by the chaos trial's final audits;
 * :mod:`repro.verify.artifact` — the replayable JSON repro format behind
-  ``repro verify --replay``.
+  ``repro verify --replay``, and the one shrink-and-write path.
 
 docs/VERIFICATION.md is the narrative companion.
 """
@@ -27,12 +28,12 @@ from .differential import (
     Divergence,
     RunnerConfig,
     configs_by_name,
+    cost_view,
     default_configs,
-    diff_predicate,
     minimize_diff,
     run_diff,
 )
-from .artifact import read_artifact, replay_artifact, write_artifact
+from .artifact import minimize_repro, read_artifact, replay_artifact, write_artifact
 
 __all__ = [
     "AuditReport",
@@ -43,9 +44,10 @@ __all__ = [
     "audit_density",
     "audit_orientation",
     "configs_by_name",
+    "cost_view",
     "default_configs",
-    "diff_predicate",
     "minimize_diff",
+    "minimize_repro",
     "minimize_stream",
     "read_artifact",
     "repair_stream",

@@ -3,23 +3,24 @@
 A minimized failing stream is only useful if it travels: CI uploads it,
 a developer downloads it, and ``repro verify --replay ARTIFACT`` runs
 *exactly* the failing scenario locally.  This module owns that file
-format:
+format.  There is one kind, ``"diff"``: the (minimized) stream, the
+:class:`~repro.verify.differential.RunnerConfig` panel it fails under
+(fault plans and injector seeds included), the :func:`run_diff`
+parameters (``kind``, ``H``, ``n``, ``eps``, ``seed``, ``deep_every``)
+and the constants.  A chaos trial is a one-member panel, so its
+failures are written the same way.
 
-* ``kind == "diff"`` — a differential-replay failure: the (minimized)
-  stream, the :class:`~repro.verify.differential.RunnerConfig` panel it
-  fails under, and the replay parameters (``n``, ``eps``, constants,
-  ``deep_every``).
-* ``kind == "chaos"`` — a chaos-trial failure: the stream, the managed
-  structure's name and parameters, and the planned fault triples.
-
+:func:`minimize_repro` is the one shrink-and-write path: ``repro verify
+diff``, ``repro chaos`` and ``repro scenarios`` all reach it.
 ``replay_artifact`` re-runs the scenario and reports whether the
-recorded failure **reproduces** — the exit-0 condition of
-``repro verify --replay`` is "yes, it still fails", because a repro
-artifact that no longer fails is itself a finding (the bug moved).
+recorded failure **reproduces** — the exit-0 condition of ``repro
+verify --replay`` is "yes, it still fails", because a repro artifact
+that no longer fails is itself a finding (the bug moved).
 
-The format is versioned and validated on read; unknown versions and
-malformed payloads raise :class:`~repro.errors.ParameterError` rather
-than half-replaying garbage.  See docs/VERIFICATION.md for the schema.
+The format is versioned and validated on read; unknown versions, kinds
+and malformed payloads raise :class:`~repro.errors.ParameterError`
+rather than half-replaying garbage.  See docs/VERIFICATION.md for the
+schema.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import json
 import pathlib
 from typing import Any, Optional, Sequence
 
-from ..config import Constants
+from ..config import DEFAULT_CONSTANTS, Constants
 from ..errors import ParameterError
 from ..graphs.streams import BatchOp
-from .differential import DiffReport, RunnerConfig, run_diff
+from .differential import DiffReport, RunnerConfig, minimize_diff, run_diff
 
 FORMAT = "repro-verify-repro"
 VERSION = 1
-KINDS = ("diff", "chaos")
+KIND = "diff"
 
 
 def _encode_stream(ops: Sequence[BatchOp]) -> list:
@@ -61,37 +62,26 @@ def _decode_stream(raw: Any) -> list[BatchOp]:
 def write_artifact(
     path: str | pathlib.Path,
     *,
-    kind: str,
     ops: Sequence[BatchOp],
+    configs: Sequence[RunnerConfig],
     params: dict,
-    configs: Optional[Sequence[RunnerConfig]] = None,
-    structure: Optional[str] = None,
-    faults: Sequence[tuple[str, int, str]] = (),
     constants: Optional[Constants] = None,
     expected: Optional[dict] = None,
 ) -> pathlib.Path:
     """Serialise a minimized repro; returns the path written."""
-    if kind not in KINDS:
-        raise ParameterError(f"unknown artifact kind {kind!r}; known: {KINDS}")
+    if not configs:
+        raise ParameterError("an artifact needs its config panel")
     payload: dict[str, Any] = {
         "format": FORMAT,
         "version": VERSION,
-        "kind": kind,
+        "kind": KIND,
         "stream": _encode_stream(ops),
+        "configs": [c.to_dict() for c in configs],
         "params": dict(params),
         "expected": dict(expected or {}),
     }
     if constants is not None:
         payload["constants"] = dataclasses.asdict(constants)
-    if kind == "diff":
-        if not configs:
-            raise ParameterError("a diff artifact needs its config panel")
-        payload["configs"] = [c.to_dict() for c in configs]
-    else:
-        if structure is None:
-            raise ParameterError("a chaos artifact needs the structure name")
-        payload["structure"] = structure
-        payload["faults"] = [list(f) for f in faults]
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -111,8 +101,11 @@ def read_artifact(path: str | pathlib.Path) -> dict:
             f"{path}: unsupported artifact version {payload.get('version')!r} "
             f"(this build reads version {VERSION})"
         )
-    if payload.get("kind") not in KINDS:
-        raise ParameterError(f"{path}: unknown artifact kind {payload.get('kind')!r}")
+    if payload.get("kind") != KIND:
+        raise ParameterError(
+            f"{path}: unknown artifact kind {payload.get('kind')!r} "
+            f"(this build reads {KIND!r})"
+        )
     payload["stream"] = _decode_stream(payload.get("stream"))
     return payload
 
@@ -125,56 +118,60 @@ def _constants_of(payload: dict) -> Constants:
     return Constants(**{k: v for k, v in raw.items() if k in known})
 
 
+def minimize_repro(
+    ops: Sequence[BatchOp],
+    report: DiffReport,
+    path: Optional[str | pathlib.Path] = None,
+    *,
+    configs: Sequence[RunnerConfig],
+    constants: Constants = DEFAULT_CONSTANTS,
+    **params: Any,
+) -> tuple[list[BatchOp], Optional[pathlib.Path]]:
+    """Shrink a red :func:`run_diff` and, given ``path``, write the artifact.
+
+    ``params`` are the remaining :func:`run_diff` keywords of the red run
+    (``kind``, ``H``, ``eps``, ``seed``, ``n``, ``deep_every``); they are
+    recorded verbatim so the replay rebuilds the same structures.
+    Returns the minimal stream and the path written (``None`` without a
+    path).
+    """
+    minimal, probe = minimize_diff(
+        ops, report, configs=configs, constants=constants, **params
+    )
+    if path is None:
+        return minimal, None
+    written = write_artifact(
+        path,
+        ops=minimal,
+        configs=probe,
+        params=params,
+        constants=constants,
+        expected={
+            "divergences": [
+                f"batch {d.batch} [{d.config}] {d.observable}"
+                for d in report.divergences
+            ],
+        },
+    )
+    return minimal, written
+
+
 def replay_artifact(path: str | pathlib.Path) -> tuple[bool, str]:
     """Re-run a repro artifact; ``(reproduced, rendered report)``.
 
-    ``reproduced`` is True iff the recorded failure still occurs — a
-    divergence for ``kind="diff"``, at least one trial finding for
-    ``kind="chaos"``.
+    ``reproduced`` is True iff the replay is still red.
     """
     payload = read_artifact(path)
-    ops: list[BatchOp] = payload["stream"]
     params = payload.get("params", {})
-    constants = _constants_of(payload)
-    if payload["kind"] == "diff":
-        report: DiffReport = run_diff(
-            ops,
-            configs=[RunnerConfig.from_dict(d) for d in payload["configs"]],
-            eps=float(params.get("eps", 0.35)),
-            constants=constants,
-            seed=int(params.get("seed", 0)),
-            n=int(params["n"]) if "n" in params else None,
-            deep_every=int(params.get("deep_every", 0)),
-        )
-        return (not report.ok, report.render())
-    # kind == "chaos": lazy import — chaos pulls in the whole resilience
-    # stack and itself imports this package for artifact writing.
-    from ..resilience.chaos import run_trial
-    from ..resilience.faults import FaultInjector, FaultSpec
-
-    specs = [
-        FaultSpec(site=s, hit=int(h), action=a)
-        for s, h, a in payload.get("faults", [])
-    ]
-    injector = FaultInjector(specs, seed=int(params.get("injector_seed", 0)))
-    findings, _manager = run_trial(
-        payload["structure"],
-        ops,
-        injector,
-        n=int(params.get("n", 24)),
+    report = run_diff(
+        payload["stream"],
+        configs=[RunnerConfig.from_dict(d) for d in payload["configs"]],
+        kind=str(params.get("kind", "ladders")),
         H=int(params.get("H", 4)),
         eps=float(params.get("eps", 0.35)),
-        checkpoint_every=int(params.get("checkpoint_every", 5)),
-        audit_every=int(params.get("audit_every", 1)),
-        constants=constants,
+        constants=_constants_of(payload),
         seed=int(params.get("seed", 0)),
-        deep_audit=bool(params.get("deep_audit", True)),
-        tag="replay",
+        n=int(params["n"]) if "n" in params else None,
+        deep_every=int(params.get("deep_every", 0)),
     )
-    lines = [
-        f"chaos replay [{payload['structure']}]: "
-        f"{len(ops)} batches, {len(injector.fired)} fault(s) fired, "
-        f"{'RED (reproduced)' if findings else 'GREEN (did not reproduce)'}"
-    ]
-    lines.extend(f"  - {f}" for f in findings)
-    return (bool(findings), "\n".join(lines))
+    return (not report.ok, report.render())

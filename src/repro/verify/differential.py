@@ -1,48 +1,60 @@
-"""Differential replay: one stream, N execution configurations, zero drift.
+"""Differential replay: the one trial runner of the verification harness.
 
-The repo carries several execution paths that must agree — telemetry
-armed vs disarmed, and a fault-injected run recovered by the
-:class:`~repro.resilience.recovery.RecoveryManager` vs a clean run.
-Each contract is asserted somewhere in isolation; this module asserts
-them *together*: replay one :class:`BatchOp` stream
-through every named :class:`RunnerConfig` and diff the per-batch outputs
-(coreness estimates, density/arboricity answers, the exported
-orientation, invariant health, and — within a *cost class* — the cost
-model's work/depth/counters) against the baseline configuration, plus
-optional deep audits of the baseline against the exact oracles in
-``baselines/``.
+:func:`run_diff` replays one :class:`BatchOp` stream through every named
+:class:`RunnerConfig` of a panel, all building the same structure kind
+(the coreness + density ladders, or a bare BALANCED(H), coreness or
+density structure), and diffs the per-batch outputs (coreness
+estimates, density/arboricity answers, the exported orientation,
+invariant health, and — within a *cost class* — the cost model's
+work/depth/counters) against the baseline configuration, plus optional
+deep audits of the baseline against the exact oracles in ``baselines/``.
+Answers must match across **all** configurations; cost totals only
+within a cost class (chaos recovery re-runs work *by design*, so it opts
+out with ``cost_class=None``).
 
-Answers must match across **all** configurations: the telemetry
-never-perturbs guarantee and the tier-1/2 recovery determinism both
-promise bit-identical query results.  Cost totals are only contractual
-within a cost class (``cost_class="exact"`` for serial/telemetry; chaos
-recovery re-runs work *by design*, so it opts out with
-``cost_class=None``).
-
-On divergence, :func:`minimize_diff` shrinks the stream with the ddmin
-minimizer to a minimal repro; :mod:`repro.verify.artifact` serialises it
-for ``repro verify --replay``.  See docs/VERIFICATION.md.
+A member with ``recovery=True`` ends with the chaos trial's final
+verdict (:func:`_final_verdict`).  A chaos trial is a one-member panel:
+its verdict is the exception check plus those final audits, since
+tier-3 rebuilds legitimately change the orientation.  On any red
+verdict, :func:`minimize_diff` shrinks the stream to a minimal repro;
+:mod:`repro.verify.artifact` serialises it for ``repro verify
+--replay``.  See docs/VERIFICATION.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional, Sequence
 
 from ..config import DEFAULT_CONSTANTS, Constants
+from ..core.balanced import BalancedOrientation
 from ..core.coreness import CorenessDecomposition
 from ..core.density import DensityEstimator
 from ..errors import ParameterError
 from ..graphs.graph import DynamicGraph
-from ..graphs.streams import BatchOp
+from ..graphs.streams import BatchOp, replay
 from ..instrument import trace as _trace
+from ..instrument.metrics import RecoveryStats
 from ..instrument.telemetry import Tracer
 from ..instrument.work_depth import CostModel
-from .audits import audit_coreness, audit_density
+from .audits import (
+    AuditReport,
+    audit_coreness,
+    audit_density,
+    audit_orientation,
+    replay_audit,
+)
 from .minimize import minimize_stream
 
 #: Divergence values are reprs truncated to this length in reports.
 _VALUE_WIDTH = 96
+
+#: The structure kinds a panel can build.
+KINDS = ("ladders", "balanced", "coreness", "density")
+
+#: In-memory checkpoint cadence of every recovered member.
+CHECKPOINT_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -50,10 +62,13 @@ class RunnerConfig:
     """One named execution configuration of the differential harness.
 
     ``faults`` is a tuple of ``(site, hit, action)`` triples planned on a
-    fresh seeded :class:`~repro.resilience.faults.FaultInjector` per run;
-    with ``recovery=True`` batches apply through a ``RecoveryManager``
-    (the fault is expected to be absorbed), without it a raising fault
-    kills the configuration — which is exactly what the harness is for.
+    fresh :class:`~repro.resilience.faults.FaultInjector` per run, seeded
+    with ``injector_seed`` (the panel seed when ``None``); the seed
+    drives which level a ``"corrupt"`` fault bumps.  With
+    ``recovery=True`` batches apply through a ``RecoveryManager`` that
+    health-checks every ``audit_every``-th batch (0: never) and the
+    member ends with the final audits; without it a raising fault kills
+    the configuration — which is exactly what the harness is for.
     """
 
     name: str
@@ -61,15 +76,11 @@ class RunnerConfig:
     recovery: bool = False
     faults: tuple[tuple[str, int, str], ...] = ()
     cost_class: Optional[str] = "exact"
+    injector_seed: Optional[int] = None
+    audit_every: int = 1
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "telemetry": self.telemetry,
-            "recovery": self.recovery,
-            "faults": [list(f) for f in self.faults],
-            "cost_class": self.cost_class,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunnerConfig":
@@ -80,15 +91,8 @@ class RunnerConfig:
         of ladder rungs.  Members that set either replay on the one
         remaining path, which gives the same answers.
         """
-        return cls(
-            name=str(d["name"]),
-            telemetry=bool(d.get("telemetry", False)),
-            recovery=bool(d.get("recovery", False)),
-            faults=tuple(
-                (str(s), int(h), str(a)) for s, h, a in d.get("faults", [])
-            ),
-            cost_class=d.get("cost_class"),
-        )
+        cfg = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        return replace(cfg, faults=tuple(tuple(f) for f in cfg.faults))
 
 
 def default_configs() -> list[RunnerConfig]:
@@ -122,9 +126,15 @@ def configs_by_name(names: Sequence[str]) -> list[RunnerConfig]:
     return [registry[n] for n in names]
 
 
+def cost_view(cm: CostModel) -> tuple[int, int, dict]:
+    """What a cost class compares: work, depth and every counter."""
+    return (cm.work, cm.depth, dict(cm.counters))
+
+
 @dataclass
 class Divergence:
-    """One observed disagreement between a configuration and the baseline."""
+    """One observed disagreement between a configuration and the baseline,
+    or one failed audit (``baseline`` is then ``"green"``)."""
 
     batch: int
     config: str
@@ -141,21 +151,27 @@ class Divergence:
 
 @dataclass
 class DiffReport:
-    """Outcome of one differential replay."""
+    """Outcome of one differential replay.
+
+    ``faults_fired`` counts, per member with a fault plan, the faults
+    that actually triggered; ``recovery`` holds each recovered member's
+    tier scoreboard.
+    """
 
     configs: list[str]
     batches: int = 0
     divergences: list[Divergence] = field(default_factory=list)
-    oracle_findings: list[str] = field(default_factory=list)
     cost_totals: dict[str, tuple[int, int]] = field(default_factory=dict)
+    faults_fired: dict[str, int] = field(default_factory=dict)
+    recovery: dict[str, RecoveryStats] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.divergences and not self.oracle_findings
+        return not self.divergences
 
     @property
     def implicated(self) -> set[str]:
-        """Names of the non-baseline configs that diverged."""
+        """Names of the configs that diverged or failed an audit."""
         return {d.config for d in self.divergences}
 
     def render(self) -> str:
@@ -169,9 +185,6 @@ class DiffReport:
         if self.divergences:
             lines.append(f"divergences ({len(self.divergences)}):")
             lines.extend(f"  - {d.render()}" for d in self.divergences)
-        if self.oracle_findings:
-            lines.append(f"exact-oracle findings ({len(self.oracle_findings)}):")
-            lines.extend(f"  - {f}" for f in self.oracle_findings)
         return "\n".join(lines)
 
 
@@ -182,13 +195,69 @@ def _clip(value: Any) -> str:
     return text
 
 
+def _build(
+    kind: str, n: int, H: int, eps: float, constants: Constants, seed: int,
+    cm: CostModel,
+) -> tuple[Any, ...]:
+    """The structures one member runs, all charging ``cm``."""
+    if kind == "balanced":
+        return (BalancedOrientation(H, cm=cm, constants=constants),)
+    ladders = {
+        "ladders": (CorenessDecomposition, DensityEstimator),
+        "coreness": (CorenessDecomposition,),
+        "density": (DensityEstimator,),
+    }[kind]
+    return tuple(c(n, eps, cm=cm, constants=constants, seed=seed) for c in ladders)
+
+
+def _answers(st: Any, live: Sequence[tuple[int, int]]) -> dict[str, Any]:
+    """Every diffable answer one structure exports."""
+    if isinstance(st, CorenessDecomposition):
+        return {
+            "estimates": tuple(sorted(st.estimates().items())),
+            "max_estimate": st.max_estimate(),
+        }
+    answers: dict[str, Any] = {}
+    if isinstance(st, DensityEstimator):
+        answers["density"] = st.density_estimate()
+        answers["arboricity"] = st.arboricity_estimate()
+    answers["max_outdegree"] = st.max_outdegree()
+    answers["orientation"] = tuple(st.orientation_of(u, v) for u, v in live)
+    return answers
+
+
+def _oracle_audits(structures: Sequence[Any], graph: DynamicGraph) -> list[AuditReport]:
+    """Each structure against its exact oracle."""
+    audits = []
+    for st in structures:
+        if isinstance(st, CorenessDecomposition):
+            audits.append(audit_coreness(st, graph))
+        elif isinstance(st, DensityEstimator):
+            audits.append(audit_density(st, graph))
+        else:
+            audits.append(audit_orientation(st, graph))
+    return audits
+
+
+def _flag(
+    report: DiffReport, batch: int, config: str, observable: str, audit: AuditReport
+) -> None:
+    """Record a red audit as a divergence of ``config``."""
+    if not audit.ok:
+        report.divergences.append(
+            Divergence(batch, config, observable, "green", audit.render())
+        )
+
+
 class _ConfigRun:
     """Live state of one configuration during a differential replay."""
 
     def __init__(
         self,
         cfg: RunnerConfig,
+        kind: str,
         n: int,
+        H: int,
         eps: float,
         constants: Constants,
         seed: int,
@@ -196,88 +265,69 @@ class _ConfigRun:
         self.cfg = cfg
         self.cm = CostModel()
         self.error: Optional[str] = None
-        self.dead_reported = False
         self.diverged = False
-        self.core = CorenessDecomposition(
-            n, eps, cm=self.cm, constants=constants, seed=seed
-        )
-        self.dens = DensityEstimator(
-            n, eps, cm=self.cm, constants=constants, seed=seed
-        )
+        self.structures = _build(kind, n, H, eps, constants, seed, self.cm)
         self.injector = None
         if cfg.faults:
             from ..resilience.faults import FaultInjector, FaultSpec
 
             self.injector = FaultInjector(
                 [FaultSpec(site=s, hit=h, action=a) for s, h, a in cfg.faults],
-                seed=seed,
+                seed=seed if cfg.injector_seed is None else cfg.injector_seed,
             )
         self.manager = None
         if cfg.recovery:
             from ..resilience.recovery import RecoveryManager
 
             self.manager = RecoveryManager(
-                self.core, self.dens, checkpoint_every=4
+                *self.structures,
+                checkpoint_every=CHECKPOINT_EVERY,
+                audit_every=cfg.audit_every,
             )
 
     def apply(self, op: BatchOp) -> None:
         """Apply one batch under this config's injection/telemetry regime."""
-        if self.injector is not None:
-            from ..resilience.faults import injecting
+        with ExitStack() as regime:
+            if self.injector is not None:
+                from ..resilience.faults import injecting
 
-            with injecting(self.injector):
-                self._apply_traced(op)
-        else:
-            self._apply_traced(op)
-
-    def _apply_traced(self, op: BatchOp) -> None:
-        if self.cfg.telemetry:
-            # a fresh tracer per batch: arm/disarm boundaries must sit
-            # between batches, and spans must never perturb the answers
-            # or the cost model (that is the contract being diffed).
-            with _trace.tracing(Tracer(self.cm, sinks=())):
-                self._apply_raw(op)
-        else:
-            self._apply_raw(op)
-
-    def _apply_raw(self, op: BatchOp) -> None:
-        if self.manager is not None:
-            self.manager.apply(op)
-        elif op.kind == "insert":
-            self.core.insert_batch(op.edges)
-            self.dens.insert_batch(op.edges)
-        else:
-            self.core.delete_batch(op.edges)
-            self.dens.delete_batch(op.edges)
+                regime.enter_context(injecting(self.injector))
+            if self.cfg.telemetry:
+                # a fresh tracer per batch: arm/disarm boundaries must sit
+                # between batches, and spans must never perturb the answers
+                # or the cost model (that is the contract being diffed).
+                regime.enter_context(_trace.tracing(Tracer(self.cm, sinks=())))
+            if self.manager is not None:
+                self.manager.apply(op)
+            else:
+                for st in self.structures:
+                    replay([op], st)
 
     def observe(self, live_edges: Sequence[tuple[int, int]]) -> dict[str, Any]:
         """Snapshot every diffable answer this configuration exports."""
+        observed: dict[str, Any] = {}
+        for st in self.structures:
+            observed.update(_answers(st, live_edges))
         health: Any = True
         try:
-            self.core.check_invariants()
-            self.dens.check_invariants()
+            for st in self.structures:
+                st.check_invariants()
         except Exception as exc:
             health = f"{type(exc).__name__}: {exc}"
-        return {
-            "estimates": tuple(sorted(self.core.estimates().items())),
-            "max_estimate": self.core.max_estimate(),
-            "density": self.dens.density_estimate(),
-            "arboricity": self.dens.arboricity_estimate(),
-            "max_outdegree": self.dens.max_outdegree(),
-            "orientation": tuple(
-                self.dens.orientation_of(u, v) for u, v in live_edges
-            ),
-            "invariants": health,
-        }
+        observed["invariants"] = health
+        return observed
 
-    def cost_view(self) -> tuple[int, int, dict]:
-        return (self.cm.work, self.cm.depth, dict(self.cm.counters))
+
+def _universe(ops: Sequence[BatchOp]) -> int:
+    return max((max(e) for op in ops for e in op.edges), default=1) + 1
 
 
 def run_diff(
     ops: Sequence[BatchOp],
     *,
     configs: Optional[Sequence[RunnerConfig]] = None,
+    kind: str = "ladders",
+    H: int = 4,
     eps: float = 0.35,
     constants: Constants = DEFAULT_CONSTANTS,
     seed: int = 0,
@@ -287,31 +337,33 @@ def run_diff(
 ) -> DiffReport:
     """Replay ``ops`` through every config; diff per-batch outputs.
 
-    The first config is the baseline.  Answer observables are compared
-    for every config, cost views only between configs sharing the
-    baseline's non-``None`` ``cost_class``.  ``deep_every > 0`` audits
-    the baseline against the exact oracles every that many batches.
-    ``stop_on_divergence`` returns at the first red batch (the ddmin
-    predicate path — no point finishing a stream already known to fail).
-    ``n`` pins the vertex-universe size; pass it explicitly whenever the
-    stream is a shrunk candidate, because the ladder heights derive from
-    it and a drifting ``n`` would change the structures under test.
+    The first config is the baseline.  ``kind`` (one of :data:`KINDS`)
+    and ``H`` (BALANCED(H) only) pick the structure every member builds.
+    Answer observables are compared for every config, cost views only
+    between configs sharing the baseline's non-``None`` ``cost_class``.
+    ``deep_every > 0`` audits an unrecovered baseline against the exact
+    oracles every that many batches, and turns on the oracle audits of
+    every recovered member's final verdict.  ``stop_on_divergence``
+    returns at the first red batch (the ddmin predicate path — no point
+    finishing a stream already known to fail).  ``n`` pins the
+    vertex-universe size; pass it explicitly whenever the stream is a
+    shrunk candidate, because the ladder heights derive from it and a
+    drifting ``n`` would change the structures under test.
     """
     panel = list(configs) if configs is not None else default_configs()
     if not panel:
         raise ParameterError("differential replay needs at least one config")
+    if kind not in KINDS:
+        raise ParameterError(f"unknown structure {kind!r}; expected one of {KINDS}")
     if n is None:
-        n = max((max(e) for op in ops for e in op.edges), default=1) + 1
+        n = _universe(ops)
     report = DiffReport([c.name for c in panel])
-    runs = [_ConfigRun(cfg, n, eps, constants, seed) for cfg in panel]
+    runs = [_ConfigRun(cfg, kind, n, H, eps, constants, seed) for cfg in panel]
     base = runs[0]
     graph = DynamicGraph(0)
     with _trace.span("verify.diff", detail={"batches": len(ops)}):
         for i, op in enumerate(ops):
-            if op.kind == "insert":
-                graph.insert_batch(op.edges)
-            else:
-                graph.delete_batch(op.edges)
+            replay([op], graph)
             for run in runs:
                 if run.error is not None:
                     continue
@@ -320,14 +372,32 @@ def run_diff(
                         run.apply(op)
                 except Exception as exc:
                     run.error = f"{type(exc).__name__}: {exc}"
+                    report.divergences.append(
+                        Divergence(i, run.cfg.name, "exception", "completes", run.error)
+                    )
             report.batches = i + 1
             _compare_batch(report, runs, graph, i)
-            if deep_every and i % deep_every == deep_every - 1:
-                _deep_audit(report, base, graph, i)
+            if (
+                deep_every
+                and base.manager is None
+                and base.error is None
+                and i % deep_every == deep_every - 1
+            ):
+                with _trace.span("verify.audit", detail={"batch": i}):
+                    for audit in _oracle_audits(base.structures, graph):
+                        _flag(report, i, base.cfg.name, "oracle audit", audit)
             if stop_on_divergence and not report.ok:
                 break
     for run in runs:
         report.cost_totals[run.cfg.name] = (run.cm.work, run.cm.depth)
+        if run.injector is not None:
+            report.faults_fired[run.cfg.name] = len(run.injector.fired)
+        if run.manager is not None:
+            report.recovery[run.cfg.name] = run.manager.stats
+    if not (stop_on_divergence and not report.ok):
+        for run in runs:
+            if run.manager is not None and run.error is None and not run.diverged:
+                _final_verdict(report, run, ops, H, deep_every > 0)
     return report
 
 
@@ -335,25 +405,13 @@ def _compare_batch(
     report: DiffReport, runs: list[_ConfigRun], graph: DynamicGraph, i: int
 ) -> None:
     base = runs[0]
-    if base.error is not None:
-        if not base.dead_reported:
-            base.dead_reported = True
-            report.divergences.append(
-                Divergence(i, base.cfg.name, "exception", "completes", base.error)
-            )
+    if base.error is not None or len(runs) == 1:
         return
     live = sorted(graph.edges)
     base_obs = base.observe(live)
-    base_cost = base.cost_view()
+    base_cost = cost_view(base.cm)
     for run in runs[1:]:
-        if run.error is not None:
-            if not run.dead_reported:
-                run.dead_reported = True
-                report.divergences.append(
-                    Divergence(i, run.cfg.name, "exception", "completes", run.error)
-                )
-            continue
-        if run.diverged:
+        if run.error is not None or run.diverged:
             continue  # already red; one report per config keeps the noise down
         obs = run.observe(live)
         for key, expected in base_obs.items():
@@ -366,7 +424,7 @@ def _compare_batch(
             not run.diverged
             and run.cfg.cost_class is not None
             and run.cfg.cost_class == base.cfg.cost_class
-            and run.cost_view() != base_cost
+            and cost_view(run.cm) != base_cost
         ):
             run.diverged = True
             report.divergences.append(
@@ -375,52 +433,35 @@ def _compare_batch(
                     run.cfg.name,
                     f"cost[{run.cfg.cost_class}]",
                     _clip(base_cost[:2]),
-                    _clip(run.cost_view()[:2]),
+                    _clip(cost_view(run.cm)[:2]),
                 )
             )
 
 
-def _deep_audit(
-    report: DiffReport, base: _ConfigRun, graph: DynamicGraph, i: int
+def _final_verdict(
+    report: DiffReport,
+    run: _ConfigRun,
+    ops: Sequence[BatchOp],
+    H: int,
+    deep: bool,
 ) -> None:
-    if base.error is not None:
-        return
-    with _trace.span("verify.audit", detail={"batch": i}):
-        for sub in (
-            audit_coreness(base.core, graph),
-            audit_density(base.dens, graph),
-        ):
-            if not sub.ok:
-                report.oracle_findings.extend(
-                    f"batch {i}: {sub.subject}: {f}" for f in sub.findings
-                )
+    """The chaos trial's verdict on a recovered member that completed.
 
-
-def diff_predicate(
-    configs: Sequence[RunnerConfig],
-    *,
-    eps: float = 0.35,
-    constants: Constants = DEFAULT_CONSTANTS,
-    seed: int = 0,
-    n: Optional[int] = None,
-    deep_every: int = 0,
-):
-    """A ddmin predicate: True iff the candidate stream still diverges."""
-
-    def predicate(candidate: list[BatchOp]) -> bool:
-        rep = run_diff(
-            candidate,
-            configs=configs,
-            eps=eps,
-            constants=constants,
-            seed=seed,
-            n=n,
-            deep_every=deep_every,
-            stop_on_divergence=True,
-        )
-        return not rep.ok
-
-    return predicate
+    The manager's full audit must be green; then BALANCED(H) must match
+    a fault-free :func:`replay_audit` of the committed stream, and (with
+    ``deep``) the ladders must sit inside their exact-oracle bands.
+    """
+    manager, last, name = run.manager, report.batches - 1, run.cfg.name
+    with _trace.span("verify.audit", detail={"batch": last}):
+        final = manager.audit()
+        _flag(report, last, name, "final audit", final)
+        if final.ok and isinstance(run.structures[0], BalancedOrientation):
+            constants = run.structures[0].constants
+            replayed = replay_audit(ops, H=H, constants=constants)
+            _flag(report, last, name, "replay audit", replayed)
+        elif final.ok and deep:
+            for audit in _oracle_audits(run.structures, manager.graph):
+                _flag(report, last, name, "oracle audit", audit)
 
 
 def minimize_diff(
@@ -428,31 +469,32 @@ def minimize_diff(
     report: DiffReport,
     *,
     configs: Optional[Sequence[RunnerConfig]] = None,
-    eps: float = 0.35,
-    constants: Constants = DEFAULT_CONSTANTS,
-    seed: int = 0,
-    n: Optional[int] = None,
-    deep_every: int = 0,
+    **params: Any,
 ) -> tuple[list[BatchOp], list[RunnerConfig]]:
     """Shrink a red differential run to a minimal repro.
 
-    The probe panel is narrowed to the baseline plus the implicated
-    configs (no point replaying every config per ddmin probe for a
-    config that never diverged); oracle audits are kept only when the
-    oracle actually flagged something.  Returns the minimal stream and
-    the panel it fails under — ready for an artifact.
+    ``params`` are the other :func:`run_diff` keywords of the red run.
+    The ddmin predicate is "the candidate is still red under
+    :func:`run_diff`", stopping at the first red batch.  The probe panel
+    is narrowed to the baseline plus the implicated configs (no point
+    replaying a config that never diverged per ddmin probe); oracle
+    audits are kept only when an oracle actually flagged something, and
+    ``n`` is pinned to the full stream's.  Returns the minimal stream
+    and the panel it fails under — ready for an artifact.
     """
     panel = list(configs) if configs is not None else default_configs()
-    implicated = report.implicated
-    probe = [panel[0]] + [c for c in panel[1:] if c.name in implicated]
-    probe_deep = deep_every if report.oracle_findings else 0
-    if n is None:
-        n = max((max(e) for op in ops for e in op.edges), default=1) + 1
-    minimal = minimize_stream(
-        ops,
-        diff_predicate(
-            probe, eps=eps, constants=constants, seed=seed, n=n,
-            deep_every=probe_deep,
-        ),
-    )
-    return minimal, probe
+    probe = [panel[0]] + [c for c in panel[1:] if c.name in report.implicated]
+    oracle_red = any(d.observable == "oracle audit" for d in report.divergences)
+    probe_params = {
+        **params,
+        "n": params.get("n") or _universe(ops),
+        "deep_every": params.get("deep_every", 0) if oracle_red else 0,
+    }
+
+    def still_red(candidate: list[BatchOp]) -> bool:
+        rep = run_diff(
+            candidate, configs=probe, stop_on_divergence=True, **probe_params
+        )
+        return not rep.ok
+
+    return minimize_stream(ops, still_red), probe

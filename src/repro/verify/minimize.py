@@ -65,13 +65,11 @@ class _CachedPredicate:
     def __init__(self, predicate: Predicate):
         self._predicate = predicate
         self._seen: dict[tuple, bool] = {}
-        self.calls = 0
 
     def __call__(self, ops: Sequence[BatchOp]) -> bool:
         repaired = repair_stream(ops)
         key = _stream_key(repaired)
         if key not in self._seen:
-            self.calls += 1
             self._seen[key] = bool(self._predicate(repaired))
         return self._seen[key]
 
@@ -113,12 +111,7 @@ def _ddmin(items: list, fails: Callable[[list], bool]) -> list:
     return items
 
 
-def minimize_stream(
-    ops: Sequence[BatchOp],
-    predicate: Predicate,
-    *,
-    shrink_edges: bool = True,
-) -> list[BatchOp]:
+def minimize_stream(ops: Sequence[BatchOp], predicate: Predicate) -> list[BatchOp]:
     """Shrink a failing stream to a (repaired) minimal repro.
 
     ``predicate(candidate)`` must return True iff the candidate still
@@ -133,9 +126,7 @@ def minimize_stream(
         raise ValueError("input stream does not fail the predicate; nothing to minimize")
     with _trace.span("verify.minimize", detail={"batches": len(seed)}):
         batches = _ddmin(list(seed), check)
-        batches = repair_stream(batches)
-        if shrink_edges:
-            batches = _shrink_edges(batches, check)
+        batches = _shrink_edges(repair_stream(batches), check)
     assert check(batches), "minimized stream stopped failing"  # ddmin invariant
     return repair_stream(batches)
 

@@ -76,3 +76,25 @@ class TestExact:
         out = capsys.readouterr().out
         assert "max coreness" in out
         assert "exact rho" in out
+
+
+class TestVerifyDiffInject:
+    # exit 1 means "divergence caught" to CI, so a malformed spec must fail
+    # as a usage error (exit 2, one line) before any replay starts
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("tokens.drop.phase:x", "HIT must be an integer, got 'x'"),
+            ("bogus.site:1:raise", "unknown fault site 'bogus.site'"),
+            ("tokens.drop.phase:1:explode", "unknown fault action 'explode'"),
+        ],
+        ids=["bad-hit", "unknown-site", "unknown-action"],
+    )
+    def test_malformed_spec_is_a_usage_error(self, spec, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "diff", "--batches", "2", "--inject", spec])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no replay ran
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]

@@ -5,6 +5,7 @@ import pytest
 from repro.config import Constants
 from repro.errors import ParameterError
 from repro.resilience.chaos import chaos_soak, render_soak_summary
+from repro.scenarios import ScenarioParams
 
 CONSTANTS = Constants(sample_c=0.5, min_B=4, duplication_cap=8)
 
@@ -15,9 +16,7 @@ def test_balanced_soak_is_green():
         trials=4,
         seed=3,
         faults_per_trial=3,
-        batches=12,
-        batch_size=5,
-        n=18,
+        params=ScenarioParams(n=18, batches=12, batch_size=5),
         constants=CONSTANTS,
     )
     assert report.ok, report.render()
@@ -33,9 +32,7 @@ def test_ladder_soak_is_green(structure):
         trials=2,
         seed=5,
         faults_per_trial=2,
-        batches=10,
-        batch_size=4,
-        n=16,
+        params=ScenarioParams(n=16, batches=10, batch_size=4),
         constants=CONSTANTS,
         deep_audit=False,  # the per-batch health audits still run
     )
@@ -48,9 +45,7 @@ def test_soak_is_deterministic():
         trials=3,
         seed=11,
         faults_per_trial=2,
-        batches=10,
-        batch_size=4,
-        n=16,
+        params=ScenarioParams(n=16, batches=10, batch_size=4),
         constants=CONSTANTS,
     )
     a = chaos_soak("balanced", **kwargs)
@@ -70,9 +65,7 @@ def test_summary_renders():
         "balanced",
         trials=1,
         seed=0,
-        batches=6,
-        batch_size=4,
-        n=12,
+        params=ScenarioParams(n=12, batches=6, batch_size=4),
         constants=CONSTANTS,
     )
     table = render_soak_summary([report])

@@ -1,5 +1,7 @@
 """Tests for scenario soaks and the ``repro scenarios`` CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
@@ -7,6 +9,7 @@ from repro.graphs.tracefile import iter_trace, scan_trace
 from repro.instrument.metrics import ScenarioStats
 from repro.instrument.telemetry import REGISTRY
 from repro.scenarios import (
+    ScenarioParams,
     params_for,
     render_scenario_summary,
     scenario_stream,
@@ -55,6 +58,38 @@ class TestSoak:
         )
         assert report.suggested_H <= honest.suggested_H
         assert report.ok  # wrong hint degrades cost, not correctness
+
+    @pytest.mark.parametrize(
+        "params",
+        [params_for("tiny", seed=4), params_for("tiny", seed=4, window=2)],
+        ids=["scale", "caller-params"],
+    )
+    def test_chaos_trials_replay_the_scale_stream(self, monkeypatch, params):
+        # each chaos trial replays the scenario under the soak's own params,
+        # re-seeded per trial — the scale's window and any caller params hold
+        import repro.resilience.chaos as chaos
+
+        replayed = []
+        real = chaos.run_diff
+
+        def recording(ops, **kwargs):
+            replayed.append(list(ops))
+            return real(ops, **kwargs)
+
+        monkeypatch.setattr(chaos, "run_diff", recording)
+        report = soak_scenario(
+            "sliding-window-churn", seed=4, mode="chaos", trials=2,
+            faults_per_trial=1, params=params,
+        )
+        assert report.ok, report.render()
+        expected = [
+            list(scenario_stream(
+                "sliding-window-churn",
+                dataclasses.replace(params, seed=4 * 7919 + trial),
+            ))
+            for trial in range(2)
+        ]
+        assert replayed == expected
 
     def test_summary_table_lists_every_report(self):
         reports = [
@@ -123,7 +158,8 @@ class TestScenariosCli:
         from repro.resilience.chaos import chaos_soak
 
         report = chaos_soak(
-            "balanced", trials=2, n=20, batches=8, batch_size=4,
+            "balanced", trials=2,
+            params=ScenarioParams(n=20, batches=8, batch_size=4),
             faults_per_trial=1, stream_kinds=["skew-flip", "sliding-window-churn"],
         )
         assert report.trials == 2

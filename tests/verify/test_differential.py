@@ -5,7 +5,10 @@ import pytest
 from repro.config import Constants
 from repro.errors import ParameterError
 from repro.graphs import streams
+from repro.verify import differential
+from repro.verify.audits import AuditReport
 from repro.verify.differential import (
+    KINDS,
     RunnerConfig,
     configs_by_name,
     default_configs,
@@ -74,6 +77,16 @@ class TestRunDiff:
         # one report per dead config, not one per remaining batch
         assert len([d for d in report.divergences if d.config == "injected"]) == 1
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_structure_kind_runs_the_panel(self, kind):
+        ops = streams.churn(14, steps=8, batch_size=4, seed=4)
+        report = run_diff(ops, kind=kind, H=3, eps=0.4, constants=SMALL,
+                          seed=4, n=14, deep_every=4)
+        assert report.ok, report.render()
+        assert report.cost_totals["telemetry"] == report.cost_totals["serial"]
+        assert report.faults_fired == {"chaos-recovered": 1}
+        assert report.recovery["chaos-recovered"].counts.get("rollback") == 1
+
     def test_empty_panel_rejected(self):
         with pytest.raises(ParameterError):
             run_diff([], configs=[])
@@ -100,6 +113,31 @@ class TestMinimizeDiff:
         replay = run_diff(minimal, configs=probe, eps=0.4, constants=SMALL,
                           seed=3, n=16)
         assert not replay.ok
+
+
+    def test_red_oracle_audit_keeps_deep_audits_in_probes(self, monkeypatch):
+        # an oracle finding is a divergence of the audited config; the
+        # probes must keep auditing or the shrunk stream would stop failing
+        def red_if_any_edge(st, graph):
+            report = AuditReport("coreness band")
+            if graph.m:
+                report.add("planted finding")
+            return report
+
+        monkeypatch.setattr(differential, "audit_coreness", red_if_any_edge)
+        ops = streams.churn(12, steps=6, batch_size=3, seed=2)
+        panel = configs_by_name(["serial", "telemetry"])
+        report = run_diff(ops, configs=panel, eps=0.4, constants=SMALL,
+                          seed=2, n=12, deep_every=3)
+        assert {(d.config, d.observable) for d in report.divergences} == {
+            ("serial", "oracle audit")
+        }
+        minimal, probe = minimize_diff(ops, report, configs=panel, eps=0.4,
+                                       constants=SMALL, seed=2, n=12,
+                                       deep_every=3)
+        # three one-edge batches: the audit only fires on every third batch
+        assert [op.size for op in minimal] == [1, 1, 1]
+        assert [c.name for c in probe] == ["serial"]
 
 
 class TestChargePins:
