@@ -42,7 +42,6 @@ def soak(structure: str):
             faults_per_trial=faults,
             params=ScenarioParams(n=20, batches=12, batch_size=5),
             constants=CONSTANTS,
-            deep_audit=(structure == "balanced"),
         )
     return _CACHE[structure]
 

@@ -587,11 +587,18 @@ def cmd_verify(args) -> int:
     (written by ``verify diff --artifact-out`` or the chaos harness) and
     exits 0 iff the recorded failure still reproduces.
     """
+    from .errors import ParameterError
     from .verify import replay_artifact
     from .verify.audits import replay_audit
 
     if args.replay:
-        reproduced, text = replay_artifact(args.replay)
+        try:
+            reproduced, text = replay_artifact(args.replay)
+        except ParameterError as exc:
+            # exit 1 means "did not reproduce" to CI: a malformed artifact
+            # is a usage error instead
+            print(f"repro verify: error: {exc}", file=sys.stderr)
+            return 2
         print(text)
         if reproduced:
             print("repro artifact REPRODUCED the recorded failure")

@@ -78,6 +78,8 @@ class BalancedOrientation:
         self.last_reversed: list[tuple[int, int, int]] = []  # (tail, head, copy) post-flip
         self.last_inserted: list[tuple[int, int, int]] = []
         self.last_deleted: list[tuple[int, int, int]] = []
+        # vertex -> its truncated level before the last batch first changed it
+        self.last_relevelled: dict[int, int] = {}
 
     # ------------------------------------------------------------------ queries
 
@@ -266,11 +268,12 @@ class BalancedOrientation:
         if new < 0:
             raise InvariantViolation(f"negative level for {v}")
         self.level[v] = new
-        if levkey(old, self.H) != levkey(new, self.H):
+        old_lev = levkey(old, self.H)
+        new_lev = levkey(new, self.H)
+        if old_lev != new_lev:
+            self.last_relevelled.setdefault(v, old_lev)
             outset = self.out.get(v)
             if outset is not None:
-                old_lev = levkey(old, self.H)
-                new_lev = levkey(new, self.H)
                 tr_of, inx = self.tr_of, self.inx
                 for head, copy in outset:  # moves touch the index, not the set
                     tr = tr_of[(v, head, copy)]
@@ -332,19 +335,19 @@ class BalancedOrientation:
         # O(|insertions| + |deletions|) work even when one half is empty
         self.cm.charge(work=len(insertions) + len(deletions) + 1, depth=1)
         reversed_, inserted, deleted = [], [], []
-        if deletions:
-            self.delete_batch(deletions)
-            reversed_ += self.last_reversed
-            inserted += self.last_inserted
-            deleted += self.last_deleted
-        if insertions:
-            self.insert_batch(insertions)
-            reversed_ += self.last_reversed
-            inserted += self.last_inserted
-            deleted += self.last_deleted
+        relevelled: dict[int, int] = {}
+        for half, run in ((deletions, self.delete_batch), (insertions, self.insert_batch)):
+            if half:
+                run(half)
+                reversed_ += self.last_reversed
+                inserted += self.last_inserted
+                deleted += self.last_deleted
+                for v, lev in self.last_relevelled.items():
+                    relevelled.setdefault(v, lev)
         self.last_reversed = reversed_
         self.last_inserted = inserted
         self.last_deleted = deleted
+        self.last_relevelled = relevelled
 
     def insert_multi_batch(self, arcs: list[tuple[int, int, int]]) -> None:
         """Insert (u, v, copy) multi-edges — the Corollary 5.4 entry point."""
@@ -401,6 +404,17 @@ class BalancedOrientation:
         self.last_reversed = []
         self.last_inserted = []
         self.last_deleted = []
+        self.last_relevelled = {}
+
+    def journal_vertices(self) -> set[int]:
+        """Endpoints of every arc the last batch inserted, deleted or
+        reversed: every vertex whose out-set or level it changed."""
+        touched: set[int] = set()
+        for journal in (self.last_reversed, self.last_inserted, self.last_deleted):
+            for tail, head, _copy in journal:
+                touched.add(tail)
+                touched.add(head)
+        return touched
 
     # -- drivers (Sections 4.2.2 / 4.3.2); game logic lives in tokens.py --------
 
@@ -497,7 +511,9 @@ class BalancedOrientation:
         """Full structural verification (I1/I2 of DESIGN.md §5).
 
         Raises :class:`InvariantViolation` on the first inconsistency.
-        Intended for tests — O(m * H) time.
+        O(m log n) time: the recovery manager runs it at checkpoint cadence
+        and on every recovery path; between those, :meth:`check_batch`
+        audits only what the last batch could have changed.
         """
         # levels match out-set sizes; H-balancedness on every arc
         for v, outset in self.out.items():
@@ -551,6 +567,88 @@ class BalancedOrientation:
         # no leftover labels between batches
         if self.vertex_label:
             raise InvariantViolation(f"leftover vertex labels: {self.vertex_label}")
+
+    def check_batch(self, kind: str, edges: Iterable[tuple[int, int]]) -> None:
+        """Local verification after one simple-graph batch of ``kind``
+        (``"insert"`` or ``"delete"``) over ``edges``; see
+        :meth:`check_batch_arcs`."""
+        self.check_batch_arcs(kind, [(u, v, 0) for u, v in edges])
+
+    def check_batch_arcs(self, kind: str, arcs: Iterable[tuple[int, int, int]]) -> None:
+        """Check what the last batch could have changed (docs/PERFORMANCE.md §8).
+
+        Let T be the endpoints of the journaled arcs and L the vertices of
+        T whose truncated level moved.  An arc's filing depends only on its
+        tail's out-set and truncated level, and its balance only on its
+        endpoints' truncated levels, so if every invariant held before the
+        batch, these checks cover every place one can now fail:
+
+        * v in T: ``level[v] == |out[v]|``, and filing and balance of v's
+          first H+1 out-arcs (rank shifts stop at rank H+1);
+        * v in L: filing and balance of all out-arcs, balance of all in-arcs;
+        * every journaled edge, in its current orientation: balance;
+        * the batch's ``arcs`` present after an insert, absent after a delete;
+        * no leftover vertex labels.
+
+        O(|T| H + sum of |L|'s degrees) time; raises
+        :class:`InvariantViolation`.
+        """
+        if self.vertex_label:
+            raise InvariantViolation(f"leftover vertex labels: {self.vertex_label}")
+        present = kind == "insert"
+        for u, v, copy in arcs:
+            a, b = norm_edge(u, v)
+            if ((a, b, copy) in self.tail_of) != present:
+                raise InvariantViolation(
+                    f"batch arc {(a, b, copy)} {'missing' if present else 'still present'}"
+                    f" after the {kind}"
+                )
+        H, level = self.H, self.level
+        relevelled = {
+            v for v, lev in self.last_relevelled.items()
+            if levkey(level.get(v, 0), H) != lev
+        }
+        for v in self.journal_vertices() | relevelled:
+            outset = self.out.get(v)
+            size = len(outset) if outset is not None else 0
+            if level.get(v, 0) != size:
+                raise InvariantViolation(f"level[{v}] = {level.get(v, 0)} != |out| = {size}")
+            if outset is not None:
+                self._check_out_arcs(v, outset, size if v in relevelled else H + 1)
+        for v in relevelled:
+            index = self.inx.get(v)
+            if index is not None:
+                for (tail, copy), _tr, _lev in index.entries():
+                    self._check_balanced(tail, v, copy)
+        for journal in (self.last_reversed, self.last_inserted, self.last_deleted):
+            for u, v, copy in journal:
+                a, b = norm_edge(u, v)
+                tail = self.tail_of.get((a, b, copy))
+                if tail is not None:
+                    self._check_balanced(tail, b if tail == a else a, copy)
+
+    def _check_out_arcs(self, v: int, outset: OutSet, hi: int) -> None:
+        """Filing and balance of ``v``'s out-arcs at ranks 1..hi."""
+        lev = levkey(self.level.get(v, 0), self.H)
+        for position, (head, copy) in enumerate(outset.window(1, hi), 1):
+            tr = position if position <= self.H else self.H + 1
+            index = self.inx.get(head)
+            if (
+                self.tr_of.get((v, head, copy)) != tr
+                or index is None
+                or not index.has((v, copy), tr, lev)
+            ):
+                raise InvariantViolation(
+                    f"arc {(v, head, copy)} not filed at expected {(tr, lev)}"
+                )
+            self._check_balanced(v, head, copy)
+
+    def _check_balanced(self, tail: int, head: int, copy: int) -> None:
+        lt, lh = self.level.get(tail, 0), self.level.get(head, 0)
+        if not is_h_balanced_edge(lt, lh, self.H):
+            raise InvariantViolation(
+                f"arc ({tail}->{head},{copy}): min(H,{lt}) > min(H,{lh}) + 1 (H={self.H})"
+            )
 
 
 def tail_key(tail: int, copy: int) -> tuple[int, int]:

@@ -124,7 +124,3 @@ class CorenessDecomposition(RungLadder):
                 default=float(self.heights[0]),
             )
         return self._max_est
-
-    def check_invariants(self) -> None:
-        for rung in self.rungs:
-            rung.check_invariants()

@@ -116,12 +116,18 @@ class FixedHCorenessEstimator(RungOps):
         estimate cache.
         """
         inner = self.dup.inner if self.dup is not None else self.bal
-        touched: set[int] = set()
-        for journal in (inner.last_reversed, inner.last_inserted, inner.last_deleted):
-            for tail, head, _copy in journal:
-                touched.add(tail)
-                touched.add(head)
-        return touched
+        return inner.journal_vertices()
+
+    def check_batch(self, kind: str, edges: list[tuple[int, int]]) -> None:
+        """Local check after one batch (only the sampled edges reach the
+        orientation in the sampling regime; an unsampled batch changed
+        nothing)."""
+        if self.regime == "duplication":
+            self.dup.check_batch(kind, edges)
+        else:
+            kept = self.sampler.filter(edges)
+            if kept:
+                self.bal.check_batch(kind, kept)
 
     def check_invariants(self) -> None:
         if self.regime == "duplication":

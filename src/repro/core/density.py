@@ -118,7 +118,3 @@ class DensityEstimator(RungLadder):
 
     def max_outdegree(self) -> int:
         return self.rungs[self._first_low()].max_out_export()
-
-    def check_invariants(self) -> None:
-        for rung in self.rungs:
-            rung.check_invariants()

@@ -29,7 +29,7 @@ import math
 from typing import Iterable, Literal, Optional
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_eps, check_height
-from ..errors import BatchError
+from ..errors import BatchError, InvariantViolation
 from ..graphs.graph import norm_edge
 from ..instrument.work_depth import CostModel
 from ..pram.executor import RungTask, SerialExecutor
@@ -91,6 +91,14 @@ class FixedHDensityGuard(RungOps):
         ).digest()
         return int.from_bytes(digest, "big") % self.T
 
+    def _group_by_bucket(
+        self, edges: list[tuple[int, int]]
+    ) -> dict[int, list[tuple[int, int]]]:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for e in edges:
+            groups.setdefault(self._bucket_of(*e), []).append(e)
+        return groups
+
     def _bucket(self, i: int) -> BalancedOrientation:
         bucket = self._buckets.get(i)
         if bucket is None:
@@ -129,9 +137,7 @@ class FixedHDensityGuard(RungOps):
         inside each task's accounting branch (``finish``) exactly where the
         inline loop charged it.
         """
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for e in edges:
-            groups.setdefault(self._bucket_of(*e), []).append(e)
+        groups = self._group_by_bucket(edges)
         tasks = [
             RungTask(
                 structure=self._bucket(i),
@@ -202,6 +208,19 @@ class FixedHDensityGuard(RungOps):
         if self.regime == "duplication":
             return 2.0 * self.H
         return float(self.H_adj)
+
+    def check_batch(self, kind: str, edges: list[tuple[int, int]]) -> None:
+        """Local check after one batch: only the buckets the batch's edges
+        hash to changed."""
+        if self.regime == "duplication":
+            self.dup.check_batch(kind, edges)
+            return
+        groups = self._group_by_bucket(edges)
+        for i in sorted(groups):
+            bucket = self._buckets.get(i)
+            if bucket is None:
+                raise InvariantViolation(f"bucket {i} of a batch edge does not exist")
+            bucket.check_batch(kind, groups[i])
 
     def check_invariants(self) -> None:
         if self.regime == "duplication":

@@ -109,6 +109,16 @@ class DuplicatedBalanced:
                 out.append(w)
         return out
 
+    def check_batch(self, kind: str, edges: Iterable[tuple[int, int]]) -> None:
+        """Local check after one batch: every batch edge has all K copies
+        after an insert and none after a delete (see
+        :meth:`BalancedOrientation.check_batch_arcs`)."""
+        self.inner.check_batch_arcs(
+            kind,
+            [(u, v, c) for (u, v) in (norm_edge(a, b) for a, b in edges)
+             for c in range(self.K)],
+        )
+
     def check_invariants(self) -> None:
         self.inner.check_invariants()
         # every undirected edge has exactly K copies

@@ -135,6 +135,14 @@ class InIndex:
         bucket = self._buckets.get((tr, lev))
         return bucket[0] if bucket else None
 
+    def has(self, tail: Any, tr: int, lev: int) -> bool:
+        """Is ``tail`` filed at ``(tr, lev)``?  (for checks)"""
+        bucket = self._buckets.get((tr, lev))
+        if bucket is None:
+            return False
+        i = bisect_left(bucket, tail)
+        return i < len(bucket) and bucket[i] == tail
+
     def entries(self) -> Iterator[tuple[Any, int, int]]:
         """Yield (tail, tr, lev) of every filed in-edge (for checks)."""
         for (tr, lev), bucket in self._buckets.items():

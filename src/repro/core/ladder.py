@@ -69,6 +69,19 @@ class RungLadder:
         self.executor.run_structures(self.cm, tasks)
         self._invalidate_queries(edges)
 
+    # -- invariant checks ---------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """The full audit of every rung."""
+        for rung in self.rungs:
+            rung.check_invariants()
+
+    def check_batch(self, kind: str, edges: list[tuple[int, int]]) -> None:
+        """Local check of every rung after one batch (see
+        :meth:`~repro.core.balanced.BalancedOrientation.check_batch_arcs`)."""
+        for rung in self.rungs:
+            rung.check_batch(kind, edges)
+
     # -- query cache maintenance -------------------------------------------
 
     def _reset_query_caches(self) -> None:

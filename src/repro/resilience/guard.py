@@ -56,6 +56,7 @@ def capture(st: Any) -> Snapshot:
                 list(st.last_reversed),
                 list(st.last_inserted),
                 list(st.last_deleted),
+                dict(st.last_relevelled),
             ),
         }
     if hasattr(st, "inner"):  # DuplicatedBalanced
@@ -100,10 +101,11 @@ def rollback(st: Any, snap: Snapshot) -> None:
     kind = snap["kind"]
     if kind == "balanced":
         st._rebuild(snap["tail_of"], snap["level"], snap["vertex_label"])
-        reversed_, inserted, deleted = snap["journals"]
+        reversed_, inserted, deleted, relevelled = snap["journals"]
         st.last_reversed = list(reversed_)
         st.last_inserted = list(inserted)
         st.last_deleted = list(deleted)
+        st.last_relevelled = dict(relevelled)
     elif kind == "duplicated":
         rollback(st.inner, snap["inner"])
     elif kind == "density_guard":

@@ -24,7 +24,10 @@ Each batch's outcome ("ok", "rollback", "checkpoint", "rebuild") is
 recorded in a :class:`~repro.instrument.metrics.RecoveryStats` scoreboard
 and counted on the cost model, and silent corruption (a fault that
 *mutated* rather than raised) is caught by a post-commit health audit
-that triggers the same tier-2/tier-3 repair.
+that triggers the same tier-2/tier-3 repair: the full audit every
+``audit_every``-th batch and before every checkpoint capture, and on the
+other batches a local audit of the region the batch could have changed
+(docs/ROBUSTNESS.md §4).
 
 Everything here is in-memory: the manager keeps only the batches
 committed since its last checkpoint.  Durable restart (write-ahead log
@@ -73,6 +76,8 @@ class RecoveryManager:
         self.audit_every = audit_every
         self.stats = RecoveryStats()
         self._ckpt = [capture(st) for st in structures]
+        #: ``applied`` at the last full audit the structures passed.
+        self.audited = 0
         if not self.healthy():
             raise BatchError(
                 "RecoveryManager: structures and ground-truth graph disagree "
@@ -101,14 +106,24 @@ class RecoveryManager:
                 )
                 outcome = self._recover_and_retry(op, exc)
             self._commit(op)
-            if self.audit_every and self.applied % self.audit_every == 0:
-                if not self.healthy():
+            if self.audit_every:
+                # the full audit runs at its cadence and before every
+                # in-memory checkpoint; the other batches audit only the
+                # region they could have changed (docs/ROBUSTNESS.md).
+                full = (
+                    self.applied % self.audit_every == 0
+                    or len(self.history) >= self.checkpoint_every
+                )
+                if not (self.healthy() if full else self.healthy(op)):
                     _trace.event(
                         "recovery.escalate",
                         tier="post-commit-audit",
                         batch=self.applied,
                     )
                     outcome = self._repair_in_place()
+                    full = True  # the repair ends on a passed full audit
+                if full:
+                    self.audited = self.applied
         self.stats.record(outcome)
         _trace.event("recovery.outcome", outcome=outcome, batch=self.applied)
         if outcome != "ok":
@@ -122,19 +137,53 @@ class RecoveryManager:
 
     # -- health ------------------------------------------------------------------
 
-    def healthy(self) -> bool:
+    def healthy(self, op: Optional[BatchOp] = None) -> bool:
         """Every structure's invariants hold (and an orientation's edge set
-        matches the ground truth)."""
+        matches the ground truth).
+
+        Without ``op`` this is the full O(m log n) audit.  With the batch
+        ``op`` just committed, only the region that batch could have
+        changed is checked (each structure's ``check_batch``; an
+        orientation's size against the ground truth): O(batch) vertices
+        and their arcs, assuming the state passed the previous audit.
+        Neither form charges the cost model.
+        """
+        edges = None if op is None else normalize_batch(op.edges)
         for st in self.structures:
             try:
-                st.check_invariants()
+                if edges is None:
+                    st.check_invariants()
+                else:
+                    st.check_batch(op.kind, edges)
             except Exception:
                 return False
             if isinstance(st, BalancedOrientation):
-                ours = {(a, b) for (a, b, _copy) in st.tail_of}
-                if ours != self.graph.edges:
+                if edges is None:
+                    ours = {(a, b) for (a, b, _copy) in st.tail_of}
+                    if ours != self.graph.edges:
+                        return False
+                elif len(st.tail_of) != len(self.graph.edges):
                     return False
         return True
+
+    def certify(self) -> str:
+        """Make sure the committed state passed a full audit; returns
+        ``"ok"`` or the tier that repaired it.
+
+        Free when the last batch already ran the full audit.  Callers that
+        persist the state (a durable checkpoint) call this first, so a
+        corruption the local audits have not reached yet is never written.
+        """
+        outcome = "ok"
+        if self.audited != self.applied:
+            if not self.healthy():
+                _trace.event(
+                    "recovery.escalate", tier="pre-persist-audit", batch=self.applied
+                )
+                outcome = self._repair_in_place()
+                self.cm.count(f"recovery_{outcome}")
+            self.audited = self.applied
+        return outcome
 
     def audit(self) -> AuditReport:
         """A full audit of every managed structure against the ground truth."""

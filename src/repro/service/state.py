@@ -56,6 +56,10 @@ META_NAME = "meta.json"
 WAL_NAME = "wal.trace"
 CHECKPOINT_NAME = "checkpoint.json"
 
+#: the recovery manager's in-memory checkpoint cadence, which is also its
+#: full-audit cadence: batches in between get the O(batch) local audit.
+MANAGER_CHECKPOINT_EVERY = 16
+
 
 @dataclass(frozen=True)
 class TenantConfig:
@@ -209,7 +213,12 @@ class TenantShard:
         position, structures = self._restore_checkpoint(len(wal_ops))
         graph = DynamicGraph(0)
         replay(wal_ops[:position], graph)
-        self.manager = RecoveryManager(*structures, graph=graph)
+        self.manager = RecoveryManager(
+            *structures,
+            checkpoint_every=MANAGER_CHECKPOINT_EVERY,
+            audit_every=MANAGER_CHECKPOINT_EVERY,
+            graph=graph,
+        )
         self.applied = position
         for op in wal_ops[position:]:
             self.manager.apply(op)
@@ -364,7 +373,15 @@ class TenantShard:
     # -- durability -----------------------------------------------------------
 
     def write_checkpoint(self) -> None:
-        """Atomically persist a full-ladder checkpoint at the current epoch."""
+        """Atomically persist a full-ladder checkpoint at the current epoch.
+
+        Only a state that passed a full audit is written: unless the last
+        batch already ran one, the manager audits (and repairs) first, and
+        a repair republishes the snapshot.  A corrupted checkpoint on disk
+        would keep the tenant from reopening.
+        """
+        if self.manager.certify() != "ok":
+            self.snapshot = self._build_snapshot()
         payload = {
             "position": self.applied,
             "structures": {
@@ -386,8 +403,10 @@ class TenantShard:
             return
         self._closed = True
         if seal:
-            self.write_checkpoint()
-            self._writer.close()
+            try:
+                self.write_checkpoint()
+            finally:
+                self._writer.close()
         else:
             self._writer.abort()
 

@@ -107,7 +107,19 @@ def read_artifact(path: str | pathlib.Path) -> dict:
             f"(this build reads {KIND!r})"
         )
     payload["stream"] = _decode_stream(payload.get("stream"))
+    _decode_configs(payload.get("configs"))  # validated, kept as dicts
+    if not isinstance(payload.get("params", {}), dict):
+        raise ParameterError(f"{path}: artifact params must be a mapping")
     return payload
+
+
+def _decode_configs(raw: Any) -> list[RunnerConfig]:
+    if not isinstance(raw, list) or not raw:
+        raise ParameterError("artifact configs must be a non-empty list of members")
+    try:
+        return [RunnerConfig.from_dict(d) for d in raw]
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed artifact config member: {exc}") from exc
 
 
 def _constants_of(payload: dict) -> Constants:
@@ -165,7 +177,7 @@ def replay_artifact(path: str | pathlib.Path) -> tuple[bool, str]:
     params = payload.get("params", {})
     report = run_diff(
         payload["stream"],
-        configs=[RunnerConfig.from_dict(d) for d in payload["configs"]],
+        configs=_decode_configs(payload["configs"]),
         kind=str(params.get("kind", "ladders")),
         H=int(params.get("H", 4)),
         eps=float(params.get("eps", 0.35)),

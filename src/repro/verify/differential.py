@@ -66,8 +66,9 @@ class RunnerConfig:
     with ``injector_seed`` (the panel seed when ``None``); the seed
     drives which level a ``"corrupt"`` fault bumps.  With
     ``recovery=True`` batches apply through a ``RecoveryManager`` that
-    health-checks every ``audit_every``-th batch (0: never) and the
-    member ends with the final audits; without it a raising fault kills
+    runs the full health audit every ``audit_every``-th batch and the
+    local one on the others (0: no audits) and the member ends with the
+    final audits; without it a raising fault kills
     the configuration — which is exactly what the harness is for.
     """
 

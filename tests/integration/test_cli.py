@@ -98,3 +98,42 @@ class TestVerifyDiffInject:
         assert captured.out == ""  # no replay ran
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+
+
+class TestVerifyReplayMalformed:
+    # exit 1 means "did NOT reproduce" to CI, so an artifact that cannot
+    # be read must fail as a usage error (exit 2, one line), not a traceback
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"configs": None}, "configs must be a non-empty list"),
+            ({"version": 99}, "unsupported artifact version 99"),
+            ({"kind": "chaos"}, "unknown artifact kind 'chaos'"),
+        ],
+        ids=["missing-configs", "wrong-version", "wrong-kind"],
+    )
+    def test_malformed_artifact_is_a_usage_error(self, tmp_path, capsys, edit, message):
+        import json
+
+        from repro.graphs.streams import BatchOp
+        from repro.verify.artifact import write_artifact
+        from repro.verify.differential import RunnerConfig
+
+        path = write_artifact(
+            tmp_path / "a.json",
+            ops=[BatchOp("insert", ((0, 1),))],
+            configs=[RunnerConfig("serial")],
+            params={"n": 4},
+        )
+        payload = json.loads(path.read_text())
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        path.write_text(json.dumps(payload))
+        assert main(["verify", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no replay ran
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and "error:" in errors[0] and message in errors[0]
