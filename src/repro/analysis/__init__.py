@@ -2,30 +2,26 @@
 
 Statically enforces the disciplines the reproduction depends on — cost
 model accounting in the structure layer (DESIGN.md §6), seed-driven
-determinism, and simulated-PRAM race safety in ``parallel()`` regions —
-plus API hygiene on the exported surface.  On top of the per-file rules,
-a whole-program phase (symbol table, call graph, per-function CFGs)
-checks the interprocedural families: all-paths charge reachability
-(REP-CF), ``guarded()`` exception safety (REP-X), and determinism taint
-(REP-DT).  See
-docs/STATIC_ANALYSIS.md for the rule catalogue, suppression syntax, and
-the baseline/SARIF/autofix workflow.
+determinism, simulated-PRAM race safety in ``parallel()`` regions, and
+the span taxonomy and Tracer clock (docs/OBSERVABILITY.md).  On top of
+the per-file rules, a whole-program phase (symbol table, call graph,
+per-function CFGs) checks the interprocedural families: all-paths charge
+reachability (REP-CF), ``guarded()`` exception safety (REP-X), and
+determinism taint (REP-DT).  See docs/STATIC_ANALYSIS.md for the rule
+catalogue and the inline suppression syntax.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .checkers import ALL_CHECKERS, ALL_PROJECT_CHECKERS
 from .engine import all_rules, lint_paths, lint_source
 from .findings import Finding, LintReport
 from .project import ProjectChecker, ProjectContext, summarize_module
-from .sarif import render_sarif
 from .walker import Checker, ModuleContext
 
 __all__ = [
     "ALL_CHECKERS",
     "ALL_PROJECT_CHECKERS",
-    "Baseline",
     "Checker",
     "Finding",
     "LintReport",
@@ -35,6 +31,5 @@ __all__ = [
     "all_rules",
     "lint_paths",
     "lint_source",
-    "render_sarif",
     "summarize_module",
 ]

@@ -14,9 +14,7 @@ from .chargepath import ChargePathChecker
 from .cost import CostAccountingChecker
 from .determinism import DeterminismChecker
 from .exceptions import ExceptionSafetyChecker
-from .hygiene import ApiHygieneChecker
 from .observability import ObservabilityChecker
-from .parallelism import ParallelismChecker
 from .races import RaceChecker
 from .taint import DeterminismTaintChecker
 
@@ -26,8 +24,6 @@ ALL_CHECKERS = [
     DeterminismChecker,
     RaceChecker,
     ObservabilityChecker,
-    ParallelismChecker,
-    ApiHygieneChecker,
 ]
 
 #: the whole-program (interprocedural) checker suite.
@@ -40,13 +36,11 @@ ALL_PROJECT_CHECKERS = [
 __all__ = [
     "ALL_CHECKERS",
     "ALL_PROJECT_CHECKERS",
-    "ApiHygieneChecker",
     "ChargePathChecker",
     "CostAccountingChecker",
     "DeterminismChecker",
     "DeterminismTaintChecker",
     "ExceptionSafetyChecker",
     "ObservabilityChecker",
-    "ParallelismChecker",
     "RaceChecker",
 ]

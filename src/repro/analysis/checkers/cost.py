@@ -47,7 +47,7 @@ class CostAccountingChecker(Checker):
     }
 
     def run(self):
-        if not getattr(self.ctx, "in_cost_scope", True):
+        if not self.ctx.in_cost_scope:
             return self.findings
         analysis = self.ctx.analysis
         for info in analysis.functions.values():

@@ -72,7 +72,7 @@ class ObservabilityChecker(Checker):
     }
 
     def run(self):
-        self._check_spans = bool(getattr(self.ctx, "in_cost_scope", True))
+        self._check_spans = self.ctx.in_cost_scope
         # the clock module itself (and its tests' fixtures) must read the
         # real clock; everything else routes through it.
         parts = re.split(r"[\\/]", self.ctx.path)

@@ -17,9 +17,6 @@ sinks — iteration over a call result — against the callee's
 whole-program ``returns_unordered`` fact, which is what makes the family
 interprocedural: ``for v in self._dirty_vertices():`` only taints when
 the helper actually returns a set.
-
-REP-DT001 carries an autofix: wrap the flagged iterable in
-``sorted(...)``.
 """
 
 from __future__ import annotations
@@ -47,9 +44,7 @@ class DeterminismTaintChecker(ProjectChecker):
     def run(self) -> Iterable[tuple[ModuleSummary, Finding]]:
         for summary, fs in self.project.all_functions():
             for tf in fs.taint_findings:
-                yield summary, Finding(
-                    summary.path, tf.line, tf.rule, tf.message, fix=tf.fix
-                )
+                yield summary, Finding(summary.path, tf.line, tf.rule, tf.message)
             for pending in fs.taint_pending:
                 callee = self.project.resolve_call(
                     fs, fs.calls[pending.call_idx]
@@ -62,5 +57,4 @@ class DeterminismTaintChecker(ProjectChecker):
                     "REP-DT001",
                     pending.message
                     + f" ('{callee.qualname}' returns an unordered set)",
-                    fix=pending.fix,
                 )

@@ -1,42 +1,39 @@
-"""reprolint engine: discovery, per-file + whole-program phases, caching.
+"""reprolint engine: discovery, then the per-file and whole-program phases.
 
 The engine runs in two phases.  The **per-file phase** walks the given
 paths for ``.py`` files (skipping caches and build metadata), builds one
 :class:`~repro.analysis.walker.ModuleContext` per file, runs every
 registered per-file checker over it, and filters findings through the
-inline ``# reprolint: disable=`` map.  It also produces one picklable
-:class:`~repro.analysis.project.ModuleSummary` per file — cached
-content-hash-keyed alongside the per-file findings, so warm runs skip
-both parsing and checking for unchanged files.
+inline ``# reprolint: disable=`` map.  It also produces one AST-free
+:class:`~repro.analysis.project.ModuleSummary` per file.
 
 The **whole-program phase** folds all summaries into a
 :class:`~repro.analysis.project.ProjectContext` (symbol table, call
 graph, ``may_charge``/``may_mutate`` fixpoints) and runs the
-interprocedural checkers (REP-CF / REP-X / REP-DT).  It is
-cheap — pure traversal of summaries — so it re-runs in full every lint.
+interprocedural checkers (REP-CF / REP-X / REP-DT).  Every run
+re-analyses every file, so findings always reflect the current tree.
 
 Cost-accounting rules (REP-C*, REP-CF*) only apply inside the structure
 layer — paths under ``core/`` or ``hashtable/`` — where
 DESIGN.md §6 requires every mutation to charge the :class:`CostModel`.
 Everything else (apps, graphs, tooling) is exempt from those but still
-checked for determinism, races, and hygiene.
+checked for determinism, races, and the Tracer clock.
 
 ``select`` entries and suppression ids match by *prefix*: ``REP-D``
-selects every determinism rule, ``REP-DT001`` exactly one.  A committed
-:class:`~repro.analysis.baseline.Baseline` absorbs known findings so
-new rules land without a big-bang fixup.
+selects every determinism rule, ``REP-DT001`` exactly one.  The only
+way to accept a finding is an inline ``# reprolint: disable=`` comment
+at its site.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Sequence, Type
+from typing import Iterable, Optional, Sequence
 
-from .baseline import Baseline
 from .checkers import ALL_CHECKERS, ALL_PROJECT_CHECKERS
 from .findings import Finding, LintReport
 from .project import ModuleSummary, ProjectContext, summarize_module
-from .walker import Checker, ModuleContext
+from .walker import ModuleContext, rule_matches
 
 #: directory names never descended into.
 _SKIP_DIRS = frozenset(
@@ -47,7 +44,6 @@ _SKIP_DIRS = frozenset(
         "build",
         "dist",
         ".ruff_cache",
-        ".reprolint-cache",
     }
 )
 
@@ -79,23 +75,12 @@ def in_cost_scope(path: str) -> bool:
     return any(part in _COST_SCOPE_DIRS for part in parts)
 
 
-def rule_matches(rule: str, patterns: Sequence[str]) -> bool:
-    """Prefix semantics shared by --select and inline suppressions."""
-    return any(rule == p or rule.startswith(p) for p in patterns)
-
-
-def _project_findings(
-    summaries: Sequence[ModuleSummary],
-    project_checkers: Optional[Sequence[type]] = None,
-) -> list[Finding]:
+def _project_findings(summaries: Sequence[ModuleSummary]) -> list[Finding]:
     """Run the whole-program checkers; suppression-filtered, deduplicated."""
     project = ProjectContext(summaries)
     seen: set[Finding] = set()
     out: list[Finding] = []
-    checkers = (
-        project_checkers if project_checkers is not None else ALL_PROJECT_CHECKERS
-    )
-    for checker_cls in checkers:
+    for checker_cls in ALL_PROJECT_CHECKERS:
         for summary, finding in checker_cls(project).run():
             if finding in seen:
                 continue
@@ -106,93 +91,63 @@ def _project_findings(
     return out
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    cost_scope: bool = True,
-    checkers: Optional[Sequence[Type[Checker]]] = None,
-    select: Optional[Sequence[str]] = None,
-    project: bool = True,
-) -> list[Finding]:
-    """Lint one source string; the unit-test entry point.
-
-    Runs the per-file checkers plus (by default) the whole-program
-    checkers over a single-module project, so interprocedural fixtures
-    are testable without touching the filesystem.  Returns the
-    deduplicated, suppression-filtered findings sorted by (file, line,
-    rule).
-    """
-    ctx = ModuleContext(path, source)
-    ctx.in_cost_scope = cost_scope
-    seen: set[Finding] = set()
-    out: list[Finding] = []
-    for checker_cls in checkers if checkers is not None else ALL_CHECKERS:
-        for finding in checker_cls(ctx).run():
-            if finding in seen:
-                continue
-            seen.add(finding)
-            if ctx.is_suppressed(finding):
-                continue
-            out.append(finding)
-    if project and checkers is None:
-        summary = summarize_module(
-            path if path != "<string>" else "fixture.py",
-            source,
-            tree=ctx.tree,
-            display_path=path,
-            in_cost_scope=cost_scope,
-        )
-        for finding in _project_findings([summary]):
-            if finding not in seen:
-                seen.add(finding)
-                out.append(finding)
-    if select:
-        out = [f for f in out if rule_matches(f.rule, select)]
-    return sorted(out)
-
-
-def _lint_one_file(
-    filepath: str,
-    source: str,
-    checkers: Optional[Sequence[Type[Checker]]],
-) -> tuple[list[Finding], Optional[ModuleSummary]]:
+def _lint_module(
+    path: str, source: str, cost_scope: bool, summary_path: str
+) -> tuple[list[Finding], ModuleSummary]:
     """Per-file findings + whole-program summary for one module.
 
-    Raises SyntaxError for unparseable sources (caller reports REP-E999).
+    ``summary_path`` locates the module for its dotted name; findings
+    are reported against ``path``.  Raises SyntaxError for unparseable
+    sources (``lint_paths`` reports REP-E999).
     """
-    cost = in_cost_scope(filepath)
-    ctx = ModuleContext(filepath, source)
-    ctx.in_cost_scope = cost
+    ctx = ModuleContext(path, source, cost_scope)
     seen: set[Finding] = set()
     findings: list[Finding] = []
-    for checker_cls in checkers if checkers is not None else ALL_CHECKERS:
+    for checker_cls in ALL_CHECKERS:
         for finding in checker_cls(ctx).run():
             if finding in seen or ctx.is_suppressed(finding):
                 continue
             seen.add(finding)
             findings.append(finding)
     summary = summarize_module(
-        filepath, source, tree=ctx.tree, in_cost_scope=cost
+        summary_path,
+        source,
+        tree=ctx.tree,
+        display_path=path,
+        in_cost_scope=cost_scope,
     )
     return findings, summary
 
 
-def lint_paths(
-    paths: Sequence[str],
+def lint_source(
+    source: str,
+    path: str = "<string>",
     *,
-    checkers: Optional[Sequence[Type[Checker]]] = None,
+    cost_scope: bool = True,
     select: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-    cache=None,
-    project: bool = True,
+) -> list[Finding]:
+    """Lint one source string; the unit-test entry point.
+
+    Runs the per-file checkers plus the whole-program checkers over a
+    single-module project, so interprocedural fixtures are testable
+    without touching the filesystem.  Returns the suppression-filtered
+    findings sorted by (file, line, rule).
+    """
+    summary_path = path if path != "<string>" else "fixture.py"
+    findings, summary = _lint_module(path, source, cost_scope, summary_path)
+    findings += _project_findings([summary])
+    if select:
+        findings = [f for f in findings if rule_matches(f.rule, select)]
+    return sorted(findings)
+
+
+def lint_paths(
+    paths: Sequence[str], *, select: Optional[Sequence[str]] = None
 ) -> LintReport:
     """Lint every Python file under ``paths`` into one report.
 
     Files with syntax errors are reported as a single ``REP-E999``
-    finding rather than aborting the run.  ``cache`` is an optional
-    :class:`~repro.analysis.cache.SummaryCache`; ``baseline`` absorbs
-    known findings (the absorbed count lands in ``report.baselined``).
+    finding rather than aborting the run.
     """
     report = LintReport(subject="reprolint " + " ".join(paths))
     for path in paths:
@@ -200,8 +155,7 @@ def lint_paths(
             # a typo'd path must not silently pass the CI gate
             report.add(Finding(path, 1, "REP-E999", "path does not exist"))
     summaries: list[ModuleSummary] = []
-    all_findings: list[Finding] = []
-    default_suite = checkers is None
+    findings: list[Finding] = []
     for filepath in iter_python_files(paths):
         report.files_checked += 1
         try:
@@ -210,58 +164,36 @@ def lint_paths(
         except OSError as exc:
             report.add(Finding(filepath, 1, "REP-E999", f"cannot read file: {exc}"))
             continue
-        record = None
-        if cache is not None and default_suite:
-            record = cache.get(_cache_salt(filepath) + source)
-        if record is not None:
-            findings, summary = record
-        else:
-            try:
-                findings, summary = _lint_one_file(filepath, source, checkers)
-            except SyntaxError as exc:
-                report.add(
-                    Finding(
-                        filepath,
-                        exc.lineno or 1,
-                        "REP-E999",
-                        f"syntax error: {exc.msg}",
-                    )
+        try:
+            module_findings, summary = _lint_module(
+                filepath, source, in_cost_scope(filepath), filepath
+            )
+        except SyntaxError as exc:
+            report.add(
+                Finding(
+                    filepath,
+                    exc.lineno or 1,
+                    "REP-E999",
+                    f"syntax error: {exc.msg}",
                 )
-                continue
-            if cache is not None and default_suite:
-                cache.put(_cache_salt(filepath) + source, (findings, summary))
-        all_findings.extend(findings)
-        if summary is not None:
-            summaries.append(summary)
-    if project and default_suite and summaries:
-        all_findings.extend(_project_findings(summaries))
+            )
+            continue
+        findings.extend(module_findings)
+        summaries.append(summary)
+    if summaries:
+        findings.extend(_project_findings(summaries))
     if select:
-        all_findings = [
-            f for f in all_findings if rule_matches(f.rule, select)
-        ]
-    if baseline is not None:
-        all_findings, absorbed = baseline.filter(all_findings)
-        report.baselined = absorbed
-    report.extend(all_findings)
+        findings = [f for f in findings if rule_matches(f.rule, select)]
+    report.extend(findings)
     report.findings.sort()
     return report
 
 
-def _cache_salt(filepath: str) -> str:
-    """Path-derived facts baked into cached findings (file field, scope)."""
-    return f"{filepath}\0{int(in_cost_scope(filepath))}\0"
-
-
-def all_rules(
-    checkers: Optional[Sequence[Type[Checker]]] = None,
-) -> dict[str, str]:
+def all_rules() -> dict[str, str]:
     """Rule id -> description across both checker suites."""
     rules: dict[str, str] = {}
-    for checker_cls in checkers if checkers is not None else ALL_CHECKERS:
+    for checker_cls in [*ALL_CHECKERS, *ALL_PROJECT_CHECKERS]:
         rules.update(checker_cls.rules)
-    if checkers is None:
-        for checker_cls in ALL_PROJECT_CHECKERS:
-            rules.update(checker_cls.rules)
     return dict(sorted(rules.items()))
 
 

@@ -2,8 +2,8 @@
 
 Per-file checkers see one AST at a time; the interprocedural rule
 families (REP-CF / REP-X / REP-DT) need to see *across* files.
-The bridge is the :class:`ModuleSummary` — a picklable, AST-free digest
-of one module produced by :func:`summarize_module`:
+The bridge is the :class:`ModuleSummary` — an AST-free digest of one
+module produced by :func:`summarize_module`:
 
 * the module's import map, top-level bindings and class facts
   (self-attributes, attribute constructor types, base classes),
@@ -12,11 +12,9 @@ of one module produced by :func:`summarize_module`:
   charge/mutation facts, determinism-taint results, ``guarded()``
   regions, global writes and parameter mutations.
 
-Summaries are the unit of the content-hash cache (:mod:`.cache`): a
-file's summary is recomputed only when its bytes change, while the
-whole-program phase — symbol resolution, the ``may_charge``/
-``may_mutate`` call-graph fixpoints, capture-capability — re-runs from
-summaries on every lint, which is cheap.
+The whole-program phase — symbol resolution, the ``may_charge``/
+``may_mutate`` call-graph fixpoints, capture-capability — runs over the
+summaries of every linted file.
 
 :class:`ProjectContext` owns the resolution logic.  Call descriptors are
 resolved through import maps, class attribute types (``self.x =
@@ -40,11 +38,9 @@ from .walker import (
     is_charge_call,
     is_cm_expr,
     is_state_mutation,
-    _parse_suppressions,
+    is_suppressed,
+    parse_suppressions,
 )
-
-#: bump when summary shape or fact extraction changes (invalidates caches).
-SUMMARY_VERSION = 5
 
 #: the attribute fingerprints ``resilience/guard.py:capture`` dispatches on;
 #: a structure is snapshot-capable iff it (or a base) binds one of these.
@@ -67,7 +63,7 @@ _BARE, _SELF, _ATTR, _OPAQUE = "bare", "self", "attr", "opaque"
 
 
 # ---------------------------------------------------------------------------
-# summary dataclasses (all picklable plain data)
+# summary dataclasses (plain data, no AST nodes)
 # ---------------------------------------------------------------------------
 
 
@@ -111,7 +107,6 @@ class TaintFinding:
     line: int
     rule: str
     message: str
-    fix: Optional[tuple[int, int, int, int]] = None  # iterable expr span
 
 
 @dataclass
@@ -121,7 +116,6 @@ class TaintPending:
     call_idx: int
     line: int
     message: str
-    fix: Optional[tuple[int, int, int, int]] = None
 
 
 @dataclass
@@ -160,17 +154,15 @@ class ClassSummary:
     bases: tuple[str, ...] = ()
     attrs: frozenset = frozenset()
     attr_types: dict[str, str] = field(default_factory=dict)
-    methods: tuple[str, ...] = ()
     has_cm: bool = False
 
 
 @dataclass
 class ModuleSummary:
-    """AST-free digest of one module (the cache unit)."""
+    """AST-free digest of one module."""
 
     path: str
     module_name: str
-    is_package: bool = False
     in_cost_scope: bool = True
     imports: dict[str, tuple] = field(default_factory=dict)
     module_bindings: frozenset = frozenset()
@@ -302,13 +294,6 @@ def _cm_guard_test_ids(node: ast.AST) -> set[int]:
         ):
             out.add(id(test))
     return out
-
-
-def _span(node: ast.AST) -> Optional[tuple[int, int, int, int]]:
-    try:
-        return (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset)
-    except AttributeError:
-        return None
 
 
 class _FunctionSummarizer:
@@ -611,7 +596,7 @@ class _TaintAnalysis:
         self.set_locals = _set_typed_locals(self.node)
         #: name -> set of labels
         self.taints: dict[str, set] = {}
-        #: site id -> (kind, line, fix span, call site index or None)
+        #: site id -> (kind, line, call site index or None)
         self.sites: dict[int, tuple] = {}
         #: (kind, ast node id) -> site id, so re-visiting the same source
         #: expression yields the *same* label and the fixpoint terminates.
@@ -624,9 +609,7 @@ class _TaintAnalysis:
         sid = self._site_ids.get(key)
         if sid is None:
             sid = len(self.sites)
-            self.sites[sid] = (
-                kind, getattr(node, "lineno", 0), _span(node), call_idx
-            )
+            self.sites[sid] = (kind, getattr(node, "lineno", 0), call_idx)
             self._site_ids[key] = sid
         return sid
 
@@ -796,7 +779,7 @@ class _TaintAnalysis:
             if _is_unordered_expr(sub.value, self.set_locals):
                 continue  # returning the set itself is fine; order unexposed
             for kind, sid in sorted(labels):
-                skind, line, span, call_idx = self.sites[sid]
+                _, line, call_idx = self.sites[sid]
                 if kind == "set":
                     self.fs.taint_findings.append(
                         TaintFinding(
@@ -808,7 +791,6 @@ class _TaintAnalysis:
                                 f"'{self.fs.qualname}' returns — wrap the "
                                 "iterable in sorted(...)"
                             ),
-                            fix=span,
                         )
                     )
                 elif kind == "id":
@@ -835,7 +817,6 @@ class _TaintAnalysis:
                                 f"'{self.fs.qualname}' returns — wrap the "
                                 "call in sorted(...)"
                             ),
-                            fix=span,
                         )
                     )
 
@@ -896,18 +877,16 @@ def summarize_module(
     display_path: Optional[str] = None,
     in_cost_scope: bool = True,
 ) -> ModuleSummary:
-    """Build the picklable whole-program digest of one module."""
+    """Build the AST-free whole-program digest of one module."""
     if tree is None:
         tree = ast.parse(source, filename=path)
     module_name, is_package = module_name_for(path)
     summary = ModuleSummary(
         path=display_path or path,
         module_name=module_name,
-        is_package=is_package,
         in_cost_scope=in_cost_scope,
-        suppressions=_parse_suppressions(source),
+        suppressions=parse_suppressions(source, tree),
     )
-    _expand_suppression_spans(summary, tree)
     bindings: set[str] = set()
     for stmt in ast.walk(tree):
         if isinstance(stmt, ast.Import):
@@ -946,23 +925,6 @@ def summarize_module(
     return summary
 
 
-def _expand_suppression_spans(summary: ModuleSummary, tree: ast.Module) -> None:
-    """A suppression on a ``def``/``class`` line covers its whole body."""
-    if not summary.suppressions:
-        return
-    for node in ast.walk(tree):
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        rules = summary.suppressions.get(node.lineno)
-        if not rules:
-            continue
-        end = getattr(node, "end_lineno", node.lineno) or node.lineno
-        for line in range(node.lineno, end + 1):
-            summary.suppressions.setdefault(line, set()).update(rules)
-
-
 def _summarize_class(
     node: ast.ClassDef, summary: ModuleSummary, module_name: str
 ) -> ClassSummary:
@@ -973,7 +935,6 @@ def _summarize_class(
             bases.append(".".join(chain))
     attrs: set[str] = set()
     attr_types: dict[str, str] = {}
-    methods: list[str] = []
     has_cm = False
     for item in node.body:
         if isinstance(item, ast.Assign):
@@ -984,7 +945,6 @@ def _summarize_class(
             attrs.add(item.target.id)
         if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        methods.append(item.name)
         fs = _FunctionSummarizer(item, node.name, summary.module_bindings).run()
         fs.module = module_name
         summary.functions[fs.qualname] = fs
@@ -1015,7 +975,6 @@ def _summarize_class(
         bases=tuple(bases),
         attrs=frozenset(attrs),
         attr_types=attr_types,
-        methods=tuple(methods),
         has_cm=has_cm,
     )
 
@@ -1268,12 +1227,7 @@ class ProjectContext:
                 yield summary, fs
 
     def is_suppressed(self, summary: ModuleSummary, line: int, rule: str) -> bool:
-        rules = summary.suppressions.get(line)
-        if not rules:
-            return False
-        return "all" in rules or any(
-            rule == r or rule.startswith(r) for r in rules
-        )
+        return is_suppressed(summary.suppressions, line, rule)
 
 
 class ProjectChecker:
@@ -1303,7 +1257,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectChecker",
     "ProjectContext",
-    "SUMMARY_VERSION",
     "TaintFinding",
     "TaintPending",
     "module_name_for",

@@ -63,8 +63,11 @@ _SUPPRESS_RE = re.compile(
 )
 
 
-def _parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> suppressed rule ids ({"all"} disables every rule)."""
+def parse_suppressions(source: str, tree: ast.Module) -> dict[int, set[str]]:
+    """Map line number -> suppressed rule ids ({"all"} disables every rule).
+
+    A suppression on a ``def``/``class`` line covers its whole body.
+    """
     out: dict[int, set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -83,7 +86,34 @@ def _parse_suppressions(source: str) -> dict[int, set[str]]:
             out.setdefault(tok.start[0], set()).update(rules)
     except tokenize.TokenError:
         pass
+    if not out:
+        return out
+    for node in ast.walk(tree):
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        rules = out.get(node.lineno)
+        if not rules:
+            continue
+        end = getattr(node, "end_lineno", node.lineno) or node.lineno
+        for line in range(node.lineno, end + 1):
+            out.setdefault(line, set()).update(rules)
     return out
+
+
+def rule_matches(rule: str, patterns: Iterable[str]) -> bool:
+    """Prefix semantics shared by --select and inline suppressions."""
+    return any(rule == p or rule.startswith(p) for p in patterns)
+
+
+def is_suppressed(suppressions: dict[int, set[str]], line: int, rule: str) -> bool:
+    """Does the suppression map silence ``rule`` on ``line``?"""
+    rules = suppressions.get(line)
+    if not rules:
+        return False
+    # family prefixes suppress too: disable=REP-D covers REP-D001/DT001
+    return "all" in rules or rule_matches(rule, rules)
 
 
 def attribute_chain(node: ast.AST) -> Optional[list[str]]:
@@ -125,21 +155,6 @@ def forwards_cm(node: ast.Call) -> bool:
         if kw.arg in CM_NAMES:
             return True
     return any(is_cm_expr(arg) for arg in node.args)
-
-
-def _target_roots(node: ast.AST) -> Iterable[str]:
-    """Root names of an assignment target (``self.x[k]`` -> "self")."""
-    if isinstance(node, ast.Name):
-        yield node.id
-    elif isinstance(node, (ast.Attribute, ast.Subscript)):
-        chain_root = node
-        while isinstance(chain_root, (ast.Attribute, ast.Subscript)):
-            chain_root = chain_root.value
-        if isinstance(chain_root, ast.Name):
-            yield chain_root.id
-    elif isinstance(node, (ast.Tuple, ast.List)):
-        for elt in node.elts:
-            yield from _target_roots(elt)
 
 
 def _is_state_target(node: ast.AST, params: frozenset[str]) -> bool:
@@ -301,15 +316,13 @@ class ModuleAnalysis:
 class ModuleContext:
     """Everything the checkers need to know about one source file."""
 
-    def __init__(self, path: str, source: str, display_path: Optional[str] = None):
-        self.path = display_path or path
-        self.source = source
+    def __init__(self, path: str, source: str, in_cost_scope: bool = True):
+        self.path = path
         self.tree = ast.parse(source, filename=path)
-        self.suppressions = _parse_suppressions(source)
-        self._expand_scope_suppressions()
+        self.suppressions = parse_suppressions(source, self.tree)
         self._analysis: Optional[ModuleAnalysis] = None
-        #: whether REP-C* cost-accounting rules apply (set by the engine).
-        self.in_cost_scope = True
+        #: whether the cost (REP-C*) and span (REP-O001/O002) rules apply.
+        self.in_cost_scope = in_cost_scope
 
     @property
     def analysis(self) -> ModuleAnalysis:
@@ -317,30 +330,8 @@ class ModuleContext:
             self._analysis = ModuleAnalysis(self.tree)
         return self._analysis
 
-    def _expand_scope_suppressions(self) -> None:
-        """A suppression on a ``def``/``class`` line covers its whole body."""
-        if not self.suppressions:
-            return
-        for node in ast.walk(self.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            rules = self.suppressions.get(node.lineno)
-            if not rules:
-                continue
-            end = getattr(node, "end_lineno", node.lineno) or node.lineno
-            for line in range(node.lineno, end + 1):
-                self.suppressions.setdefault(line, set()).update(rules)
-
     def is_suppressed(self, finding: Finding) -> bool:
-        rules = self.suppressions.get(finding.line)
-        if not rules:
-            return False
-        # family prefixes suppress too: disable=REP-D covers REP-D001/DT001
-        return "all" in rules or any(
-            finding.rule == r or finding.rule.startswith(r) for r in rules
-        )
+        return is_suppressed(self.suppressions, finding.line, finding.rule)
 
 
 class Checker(ast.NodeVisitor):

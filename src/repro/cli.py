@@ -568,18 +568,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
-    """Run reprolint (see docs/STATIC_ANALYSIS.md) over the given paths.
-
-    Every argument after ``lint`` is forwarded verbatim to the reprolint
-    CLI, so new flags (``--fix``, ``--statistics``, ``--format sarif``,
-    baseline/cache options) work without re-declaring them here.
-    """
-    from .analysis.cli import main as lint_main
-
-    return lint_main(list(args.lint_args))
-
-
 def cmd_verify(args) -> int:
     """Replay a trace auditing structure invariants after every batch.
 
@@ -875,18 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="expose per-tenant service metrics as Prometheus "
                          "text (PORT 0 = ephemeral; the bound URL is printed)")
     sv.set_defaults(func=cmd_serve)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run reprolint (static invariant checks) over the tree",
-        description=(
-            "All arguments are forwarded to the reprolint CLI; see "
-            "'python -m repro.analysis --help' for the full flag set."
-        ),
-    )
-    lint.add_argument("lint_args", nargs=argparse.REMAINDER,
-                      help="paths and reprolint flags (forwarded verbatim)")
-    lint.set_defaults(func=cmd_lint)
     return parser
 
 

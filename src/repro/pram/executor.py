@@ -12,10 +12,10 @@ after another; fine-grained PRAM steps are simulated the same way (see
 :mod:`repro.instrument.work_depth`).
 
 Ladders and the density guard's bucket sweep hand the executor a list
-of :class:`RungTask` (structure + method + args + span); routing every
-such loop through :meth:`SerialExecutor.run_structures` is what
-reprolint's REP-P001 enforces, so no sweep can silently charge its rungs
-sequentially.
+of :class:`RungTask` (structure + method + args + span).  A sweep that
+charged its rungs sequentially would record the sum of their depths
+instead of the max; the golden pin's per-batch depth
+(``tests/core/test_golden_accounting.py``) is what catches it.
 """
 
 from __future__ import annotations

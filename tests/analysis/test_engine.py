@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import textwrap
 
-from repro.analysis import Baseline, Finding, LintReport, lint_paths, lint_source
+from repro.analysis import Finding, LintReport, lint_paths, lint_source
 from repro.analysis.engine import in_cost_scope, iter_python_files
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -56,14 +55,14 @@ def test_select_filters_rules():
     assert {f.rule for f in only_d} == {"REP-D001"}
 
 
-def test_finding_render_and_report_json():
+def test_finding_and_report_render():
     report = LintReport(subject="unit")
     report.add(Finding("a.py", 3, "REP-X000", "boom"))
     report.files_checked = 1
-    assert "a.py:3: REP-X000 boom" in report.render()
-    payload = json.loads(report.render_json())
-    assert payload["ok"] is False
-    assert payload["findings"][0]["line"] == 3
+    assert not report.ok
+    rendered = report.render().splitlines()
+    assert rendered[0] == "a.py:3: REP-X000 boom"
+    assert rendered[-1] == "[1 finding(s)] unit (1 file(s)) — REP-X000: 1"
 
 
 def test_def_line_suppression_covers_body():
@@ -85,21 +84,28 @@ def test_def_line_suppression_covers_body():
     assert lint_source(source) == []
 
 
+def test_bare_disable_suppresses_every_rule():
+    source = textwrap.dedent(
+        """
+        '''Module.'''
+        import random
+
+
+        def pick(items):  # reprolint: disable
+            '''Every rule is off for this function.'''
+            return random.choice(items)
+        """
+    )
+    assert lint_source(source) == []
+    unsuppressed = source.replace("  # reprolint: disable", "")
+    assert {f.rule for f in lint_source(unsuppressed)} == {"REP-D001"}
+
+
 # ------------------------------------------------------------------- e2e
 
 
-def test_repo_tree_is_lint_clean():
-    baseline = Baseline.load(os.path.join(REPO_ROOT, ".reprolint-baseline.json"))
-    report = lint_paths([SRC], baseline=baseline)
-    assert report.ok, report.render()
-    # the committed baseline must not rot: entries match line-free, so one
-    # entry may absorb several findings, but none may absorb zero
-    assert report.baselined >= len(baseline.entries), (
-        "stale baseline entries — regenerate with --update-baseline"
-    )
-
-
 def test_cli_exits_zero_on_clean_tree():
+    # tier-1's one whole-tree lint: the CI gate's command, REP-O003 included
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.analysis", SRC],
@@ -117,18 +123,13 @@ def test_cli_exits_nonzero_on_findings(tmp_path):
     bad.write_text("import random\n\n\ndef pick(xs):\n    '''Pick.'''\n    return random.choice(xs)\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", str(bad), "--format", "json"],
+        [sys.executable, "-m", "repro.analysis", str(bad)],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO_ROOT,
     )
     assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["findings"][0]["rule"] == "REP-D001"
-
-
-def test_repro_lint_subcommand():
-    from repro.cli import main
-
-    assert main(["lint", SRC]) == 0
+    first, summary = proc.stdout.splitlines()
+    assert first.startswith(f"{bad}:6: REP-D001 ")
+    assert summary.startswith("[1 finding(s)]")

@@ -1,26 +1,13 @@
-"""CLI behaviour: path validation, prefix select, statistics, baseline
-round-trips, the summary cache, autofix idempotence, and SARIF output."""
+"""CLI behaviour: path validation, prefix select, the rule list, and a
+seeded violation of every rule family failing the gate."""
 
 from __future__ import annotations
 
-import json
-import os
+import textwrap
 
 import pytest
 
-from repro.analysis import Baseline, lint_paths
-from repro.analysis.cache import SummaryCache
 from repro.analysis.cli import main
-
-DIRTY = """\
-'''Fixture.'''
-
-
-def answers(n):
-    '''Doc.'''
-    live = {i for i in range(n)}
-    return [v * 2 for v in live]
-"""
 
 CLEAN = """\
 '''Fixture.'''
@@ -31,29 +18,112 @@ def answers(n):
     return list(range(n))
 """
 
+#: the rules reprolint keeps; each guards a contract with no runtime gate.
+KEPT_RULES = {
+    "REP-C001", "REP-C002", "REP-C003", "REP-CF001",
+    "REP-D001", "REP-D002", "REP-D003", "REP-DT001", "REP-DT002",
+    "REP-O001", "REP-O002", "REP-O003",
+    "REP-R001", "REP-R002", "REP-R003",
+    "REP-X001", "REP-X002",
+}
+
+#: rule -> one seeded violation; written under core/ so the cost-scoped
+#: rules (REP-C*, REP-CF*, REP-O001/O002) apply.
+SEEDED = {
+    "REP-C001": """
+        class Table:
+            def __init__(self, cm):
+                self.cm = cm
+                self.data = {}
+
+            def put(self, key, value):
+                '''Store one entry.'''
+                self.data[key] = value
+    """,
+    "REP-CF001": """
+        class Structure:
+            def __init__(self, cm):
+                self.cm = cm
+                self.data = {}
+
+            def insert_batch(self, items):
+                '''Doc.'''
+                if not items:
+                    self.data["last"] = 0
+                    return
+                self.cm.charge(work=len(items), depth=1)
+                self.data["last"] = len(items)
+    """,
+    "REP-D001": """
+        import random
+
+
+        def pick(xs):
+            '''Doc.'''
+            return random.choice(xs)
+    """,
+    "REP-DT001": """
+        def answers(n):
+            '''Doc.'''
+            live = {i for i in range(n)}
+            return [v * 2 for v in live]
+    """,
+    "REP-O001": """
+        from ..instrument import trace as _trace
+
+
+        def drop():
+            '''Doc.'''
+            with _trace.span("game.dorp"):
+                pass
+    """,
+    "REP-R001": """
+        def phase(cm, vertices):
+            '''One phase.'''
+            changed = False
+            with cm.parallel() as region:
+                for v in sorted(vertices):
+                    with region.branch():
+                        changed = True
+            return changed
+    """,
+    "REP-X002": """
+        class Plain:
+            def __init__(self):
+                self.stuff = []
+
+
+        def apply(batch):
+            '''Doc.'''
+            st = Plain()
+            with guarded(st):
+                st.stuff.append(batch)
+    """,
+}
+
 
 @pytest.fixture()
 def sandbox(tmp_path, monkeypatch):
-    """Run the CLI from an isolated cwd so the repo baseline/cache stay out."""
+    """Run the CLI from an isolated cwd so relative paths stay in tmp."""
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
 
 class TestPathValidation:
     def test_missing_path_exits_2(self, sandbox, capsys):
-        assert main(["nope/missing.py", "--no-cache"]) == 2
+        assert main(["nope/missing.py"]) == 2
         assert "path does not exist: nope/missing.py" in capsys.readouterr().err
 
     def test_non_python_file_exits_2(self, sandbox, capsys):
         (sandbox / "notes.txt").write_text("not code\n")
-        assert main(["notes.txt", "--no-cache"]) == 2
+        assert main(["notes.txt"]) == 2
         assert "not a Python file or directory" in capsys.readouterr().err
 
 
 class TestSelect:
     def test_unknown_prefix_exits_2(self, sandbox, capsys):
         (sandbox / "m.py").write_text(CLEAN)
-        assert main(["m.py", "--select", "REP-ZZ", "--no-cache"]) == 2
+        assert main(["m.py", "--select", "REP-ZZ"]) == 2
         assert "unknown rule id(s) or prefix(es): REP-ZZ" in capsys.readouterr().err
 
     def test_family_prefix_selects_members(self, sandbox, capsys):
@@ -61,169 +131,23 @@ class TestSelect:
             "'''Fixture.'''\nimport random\n\n\ndef pick(xs):\n"
             "    '''Doc.'''\n    return random.choice(xs)\n"
         )
-        assert main(["m.py", "--select", "REP-D", "--no-cache"]) == 1
+        assert main(["m.py", "--select", "REP-D"]) == 1
         out = capsys.readouterr().out
         assert "REP-D001" in out
 
     def test_list_rules_includes_interprocedural_families(self, sandbox, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        listed = {line.split()[0] for line in out.splitlines() if line}
-        assert {"REP-CF001", "REP-X001", "REP-X002", "REP-DT001",
-                "REP-DT002"} <= listed
+        listed = [line.split()[0] for line in out.splitlines() if line]
+        assert listed == sorted(KEPT_RULES)
 
 
-class TestStatistics:
-    def test_counts_per_rule(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(DIRTY)
-        assert main(["m.py", "--statistics", "--no-cache"]) == 1
-        out = capsys.readouterr().out
-        assert "REP-DT001" in out
-        assert "total" in out
-
-
-class TestBaseline:
-    def test_update_then_clean_exit(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(DIRTY)
-        assert main(["m.py", "--update-baseline", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert main(["m.py", "--no-cache"]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_round_trip_preserves_justifications(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(DIRTY)
-        assert main(["m.py", "--update-baseline", "--no-cache"]) == 0
-        payload = json.loads((sandbox / ".reprolint-baseline.json").read_text())
-        for entry in payload["entries"]:
-            entry["justification"] = "accepted: fixture exercises the sink"
-        (sandbox / ".reprolint-baseline.json").write_text(json.dumps(payload))
-        assert main(["m.py", "--update-baseline", "--no-cache"]) == 0
-        payload = json.loads((sandbox / ".reprolint-baseline.json").read_text())
-        assert all(
-            e["justification"] == "accepted: fixture exercises the sink"
-            for e in payload["entries"]
-        )
-
-    def test_no_baseline_reports_everything(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(DIRTY)
-        assert main(["m.py", "--update-baseline", "--no-cache"]) == 0
-        capsys.readouterr()
-        assert main(["m.py", "--no-baseline", "--no-cache"]) == 1
-
-    def test_corrupt_baseline_exits_2(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(CLEAN)
-        (sandbox / ".reprolint-baseline.json").write_text("{not json")
-        assert main(["m.py", "--no-cache"]) == 2
-        assert "reprolint:" in capsys.readouterr().err
-
-
-class TestCache:
-    def test_second_run_hits(self, sandbox):
-        (sandbox / "m.py").write_text(DIRTY)
-        cache_dir = str(sandbox / "cache")
-        cold = SummaryCache(cache_dir)
-        lint_paths([str(sandbox / "m.py")], cache=cold)
-        assert cold.misses >= 1 and cold.hits == 0
-        warm = SummaryCache(cache_dir)
-        first = lint_paths([str(sandbox / "m.py")], cache=warm)
-        assert warm.hits >= 1
-        assert [f.rule for f in first.findings] == ["REP-DT001"]
-
-    def test_corrupt_entry_is_a_miss_not_an_error(self, sandbox):
-        (sandbox / "m.py").write_text(DIRTY)
-        cache_dir = sandbox / "cache"
-        lint_paths([str(sandbox / "m.py")], cache=SummaryCache(str(cache_dir)))
-        corrupted = 0
-        for root, _dirs, files in os.walk(cache_dir):
-            for name in files:
-                if name.endswith(".pickle"):
-                    with open(os.path.join(root, name), "wb") as fh:
-                        fh.write(b"\x80garbage")
-                    corrupted += 1
-        assert corrupted >= 1
-        cache = SummaryCache(str(cache_dir))
-        report = lint_paths([str(sandbox / "m.py")], cache=cache)
-        assert cache.hits == 0 and cache.misses >= 1
-        assert [f.rule for f in report.findings] == ["REP-DT001"]
-
-    def test_edit_invalidates_entry(self, sandbox):
-        target = sandbox / "m.py"
-        target.write_text(DIRTY)
-        cache_dir = str(sandbox / "cache")
-        lint_paths([str(target)], cache=SummaryCache(cache_dir))
-        target.write_text(CLEAN)
-        cache = SummaryCache(cache_dir)
-        report = lint_paths([str(target)], cache=cache)
-        assert cache.hits == 0
-        assert report.findings == []
-
-
-class TestAutofix:
-    def test_fix_applies_and_is_idempotent(self, sandbox, capsys):
-        target = sandbox / "m.py"
-        target.write_text(DIRTY)
-        assert main(["m.py", "--fix", "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "fixed 1 site(s)" in out
-        assert "for v in sorted(live)" in target.read_text()
-        fixed_once = target.read_text()
-        assert main(["m.py", "--fix", "--no-cache"]) == 0
-        assert "fixed" not in capsys.readouterr().out
-        assert target.read_text() == fixed_once
-
-
-class TestSarif:
-    def test_output_is_valid_sarif(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(DIRTY)
-        assert main(["m.py", "--format", "sarif", "--no-cache"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        run = doc["runs"][0]
-        rules = run["tool"]["driver"]["rules"]
-        rule_ids = [r["id"] for r in rules]
-        assert "REP-DT001" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "REP-DT001"
-        assert result["ruleIndex"] == rule_ids.index("REP-DT001")
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "m.py"
-        assert loc["region"]["startLine"] == 7
-
-    def test_clean_tree_has_empty_results(self, sandbox, capsys):
-        (sandbox / "m.py").write_text(CLEAN)
-        assert main(["m.py", "--format", "sarif", "--no-cache"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"] == []
-
-
-class TestForwarding:
-    def test_repro_lint_forwards_flags(self, sandbox, capsys):
-        from repro.cli import main as repro_main
-
-        (sandbox / "m.py").write_text(DIRTY)
-        assert repro_main(["lint", "m.py", "--no-baseline", "--no-cache"]) == 1
-        assert "REP-DT001" in capsys.readouterr().out
-
-    def test_repro_lint_propagates_usage_errors(self, sandbox, capsys):
-        from repro.cli import main as repro_main
-
-        assert repro_main(["lint", "missing.py", "--no-cache"]) == 2
-
-
-def test_baseline_write_is_deterministic(tmp_path):
-    path = tmp_path / "b.json"
-    from repro.analysis import Finding
-
-    findings = [
-        Finding("b.py", 9, "REP-DT001", "m2"),
-        Finding("a.py", 3, "REP-P001", "m1"),
-        Finding("a.py", 7, "REP-P001", "m1"),  # dup entry collapses
-    ]
-    base = Baseline(path=str(path))
-    count = base.write(str(path), findings)
-    assert count == 2
-    first = path.read_text()
-    base2 = Baseline.load(str(path))
-    base2.write(str(path), findings)
-    assert path.read_text() == first
+@pytest.mark.parametrize("rule", sorted(SEEDED))
+def test_seeded_violation_fails_the_gate(sandbox, capsys, rule):
+    (sandbox / "core").mkdir()
+    target = sandbox / "core" / "m.py"
+    target.write_text("'''Fixture.'''\n" + textwrap.dedent(SEEDED[rule]))
+    assert main([str(target)]) == 1
+    assert f" {rule} " in capsys.readouterr().out
+    family = rule.rstrip("0123456789")
+    assert main([str(target), "--select", family]) == 1

@@ -191,17 +191,3 @@ def test_o003_silent_for_tracer_clock_and_non_clock_time_use():
     """
     assert "REP-O003" not in rules_of(clean)
 
-
-def test_o003_repo_is_clean_outside_instrument():
-    import pathlib
-
-    import repro
-
-    root = pathlib.Path(repro.__file__).parent
-    hits = []
-    for py in sorted(root.rglob("*.py")):
-        rel = py.relative_to(root.parent)
-        found = rules_of(py.read_text(), path=str(rel))
-        if "REP-O003" in found:
-            hits.append(str(rel))
-    assert hits == []
