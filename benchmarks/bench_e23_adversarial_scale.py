@@ -32,16 +32,19 @@ from repro.core.balanced import BalancedOrientation
 from repro.graphs.tracefile import iter_trace, scan_trace, write_stream
 from repro.instrument import BatchTimer, CostModel, render_table, wallclock
 from repro.instrument.metrics import RECOVERY_TIERS
+from repro.resilience.chaos import chaos_soak
 from repro.resilience.faults import SITES, FaultInjector, injecting
 from repro.resilience.recovery import RecoveryManager
 from repro.scenarios import (
     SCALES,
+    measured_stream,
+    params_for,
     scenario_names,
     scenario_stream,
-    soak_scenario,
     suggested_height,
 )
 from repro.verify.audits import audit_orientation
+from repro.verify.differential import run_diff
 
 from common import CONSTANTS, Experiment, write_bench
 
@@ -58,21 +61,42 @@ _CACHE: dict[str, object] = {}
 
 
 def soak(name: str) -> dict:
-    """One scenario's soak verdict plus its peak traced memory (cached)."""
+    """One scenario's chaos trials and differential panel, plus the peak
+    traced memory of both (cached).
+
+    The chaos trials build BALANCED(H) at the scenario's suggested —
+    for hint-misestimation deliberately wrong — height and replay the
+    scenario's stream re-seeded per trial; the panel replays the stream
+    itself (``repro verify --scenario NAME`` with and without
+    ``--faults``).
+    """
     key = f"soak:{name}"
     if key not in _CACHE:
+        params = params_for(SOAK_SCALE, seed=23)
+        H = suggested_height(name, params)
         tracemalloc.start()
-        report = soak_scenario(
-            name,
-            scale=SOAK_SCALE,
-            seed=23,
+        ops, stats = measured_stream(name, params)
+        chaos = chaos_soak(
+            "balanced",
             trials=TRIALS,
+            seed=23,
+            params=params,
             faults_per_trial=FAULTS_PER_TRIAL,
+            H=H,
             constants=CONSTANTS,
+            stream_kinds=[name],
         )
+        diff = run_diff(ops, constants=CONSTANTS, seed=23, n=params.n)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        _CACHE[key] = {"report": report, "peak_kb": peak // 1024}
+        _CACHE[key] = {
+            "stats": stats,
+            "H": H,
+            "chaos": chaos,
+            "diff": diff,
+            "ok": chaos.ok and diff.ok,
+            "peak_kb": peak // 1024,
+        }
     return _CACHE[key]
 
 
@@ -146,21 +170,20 @@ def run_experiment() -> Experiment:
     soaks = {name: soak(name) for name in scenario_names()}
     soak_rows = []
     for name, s in soaks.items():
-        r = s["report"]
-        tiers = r.chaos.stats.counts
+        stats, tiers = s["stats"], s["chaos"].stats.counts
         soak_rows.append(
             (
                 name,
-                r.stats.batches,
-                r.stats.edge_updates,
-                r.stats.max_live_edges,
-                r.suggested_H,
-                r.chaos.faults_fired,
+                stats.batches,
+                stats.edge_updates,
+                stats.max_live_edges,
+                s["H"],
+                s["chaos"].faults_fired,
                 tiers.get("rollback", 0),
                 tiers.get("checkpoint", 0),
                 tiers.get("rebuild", 0),
                 s["peak_kb"],
-                "GREEN" if r.ok else "RED",
+                "GREEN" if s["ok"] else "RED",
             )
         )
     soak_table = render_table(
@@ -203,11 +226,11 @@ def run_experiment() -> Experiment:
             "soak_scale": SOAK_SCALE,
             "scenarios": {
                 name: {
-                    "verdict": "GREEN" if s["report"].ok else "RED",
+                    "verdict": "GREEN" if s["ok"] else "RED",
                     "peak_rss_kb": s["peak_kb"],
-                    "faults_fired": s["report"].chaos.faults_fired,
+                    "faults_fired": s["chaos"].faults_fired,
                     "recovery_tiers": {
-                        tier: s["report"].chaos.stats.counts.get(tier, 0)
+                        tier: s["chaos"].stats.counts.get(tier, 0)
                         for tier in RECOVERY_TIERS
                     },
                 }
@@ -260,12 +283,12 @@ def run_experiment() -> Experiment:
 
 def test_e23_all_scenarios_green():
     for name in scenario_names():
-        report = soak(name)["report"]
-        assert report.ok, report.render()
+        s = soak(name)
+        assert s["ok"], s["chaos"].render() + "\n" + s["diff"].render()
 
 
 def test_e23_chaos_faults_actually_fired():
-    assert sum(soak(n)["report"].chaos.faults_fired for n in scenario_names()) > 0
+    assert sum(soak(n)["chaos"].faults_fired for n in scenario_names()) > 0
 
 
 def test_e23_out_of_core_window_bound():

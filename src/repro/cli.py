@@ -7,31 +7,30 @@ Core subcommands::
     repro run      --trace trace.txt --mode both --eps 0.35
     repro profile  --trace trace.txt --bench-out . --name smoke --check
     repro exact    --trace trace.txt
-    repro chaos    --structure all --trials 10 --faults 2 --seed 0
-    repro verify   --trace trace.txt --deep-every 8
-    repro verify   diff --batches 200 --deep-every 25
-    repro verify   --replay repro.json
-    repro scenarios --scale ci --soak both
-    repro scenarios --scenario sliding-window-churn --scale large \\
-                    --trace-out window.trace
-    repro serve     --data-dir state/ --port 9090 --serve-metrics 0
+    repro verify   --n 40 --batches 200 --batch-size 3 --deep-every 50
+    repro verify   --scenario all --scale ci --structure balanced \\
+                   --faults 2 --trials 2 --artifact-out repros/
+    repro verify   --replay repros/repro_ladders_churn.json
+    repro scenarios
+    repro generate --scenario sliding-window-churn --scale large \\
+                   --out window.trace
+    repro serve    --data-dir state/ --port 9090 --serve-metrics 0
 
-``generate`` writes a batch-update trace (see repro.graphs.tracefile);
+``generate`` writes a batch-update trace (see repro.graphs.tracefile),
+or spills a catalog scenario's stream out-of-core with ``--scenario``;
 ``run`` replays it through the batch-dynamic structures and reports the
 maintained estimates plus work/depth metrics (``--telemetry`` streams a
 JSONL span/event log, ``--progress K`` logs every K-th batch); ``profile``
 replays with phase-scoped telemetry armed and prints the phase tree
 (docs/OBSERVABILITY.md), optionally writing ``BENCH_<name>.json``;
 ``exact`` replays it into a plain graph and reports the exact measures
-for comparison; ``chaos`` soaks the structures under seeded fault
-injection (docs/ROBUSTNESS.md) and reports which recovery tiers fired;
-``verify`` audits a replay against the exact oracles, ``verify diff``
-replays one stream through every execution configuration and diffs
-per-batch outputs, and ``verify --replay`` re-runs a minimized repro
-artifact (docs/VERIFICATION.md); ``scenarios`` drives the adversarial
-scenario engine — soak a hardness-informed workload through chaos and/or
-the differential panel, or spill it out-of-core to a trace file
-(docs/SCENARIOS.md); ``serve`` runs the long-lived coreness service —
+for comparison; ``verify`` is the one verdict command — one stream
+(a trace, a catalog scenario or a generated churn) through the
+differential panel, or through seeded fault-injection trials with
+``--faults``, with red runs shrunk to replayable artifacts and
+``--replay`` re-running one (docs/VERIFICATION.md, docs/ROBUSTNESS.md);
+``scenarios`` lists the adversarial catalog (docs/SCENARIOS.md);
+``serve`` runs the long-lived coreness service —
 per-tenant ladders behind an asyncio JSON-lines protocol with
 WAL-before-apply durability and epoch-snapshot queries
 (docs/SERVICE.md).
@@ -47,19 +46,22 @@ from __future__ import annotations
 
 import argparse
 import errno
+import pathlib
 import sys
 import threading
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .baselines import core_numbers, exact_density, greedy_peeling_density
-from .config import Constants
+from .config import Constants, check_eps, check_height
 from .core import CorenessDecomposition, DensityEstimator
+from .errors import ParameterError, ReproError
 from .graphs import DynamicGraph, generators, streams
 from .graphs.tracefile import (
     iter_trace,
     read_trace,
     scan_trace,
     validate_trace,
+    write_stream,
     write_trace,
 )
 from .instrument import BatchTimer, CostModel, render_table
@@ -93,7 +95,26 @@ def _make_edges(args) -> tuple[int, list]:
 
 
 def cmd_generate(args) -> int:
-    """Synthesise a batch-update trace and write it to ``--out``."""
+    """Synthesise a batch-update trace and write it to ``--out``.
+
+    ``--scenario NAME`` spills that scenario's stream at ``--scale``
+    instead, out-of-core: the lazy stream drains straight through a
+    :class:`~repro.graphs.tracefile.TraceWriter`, so even the ``large``
+    (10^6 edge-update) scale never materialises in memory.
+    """
+    if args.scenario:
+        from .scenarios import params_for, scenario_stream
+
+        params = params_for(args.scale, seed=args.seed)
+        with _trace.span("scenario.spill", scenario=args.scenario):
+            write_stream(scenario_stream(args.scenario, params), args.out)
+        info = scan_trace(args.out, strict=True)
+        print(
+            f"spilled {args.scenario} @ {args.scale} to {args.out}: "
+            f"{info.batches} batches, {info.edge_updates} edge updates, "
+            f"max {info.max_live_edges} live edges, {info.vertices} vertices"
+        )
+        return 0
     if args.pattern == "churn":
         # churn synthesizes its own edges; no base family needed
         ops = streams.churn(args.n, steps=args.steps, batch_size=args.batch_size, seed=args.seed)
@@ -404,113 +425,17 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Chaos-soak the dynamic structures under seeded fault injection."""
-    from .resilience.chaos import STRUCTURES, chaos_soak, render_soak_summary
-    from .scenarios import ScenarioParams
-
-    targets = list(STRUCTURES) if args.structure == "all" else [args.structure]
-    params = ScenarioParams(args.n, args.batches, args.batch_size)
-    reports = []
-    for structure in targets:
-        report = chaos_soak(
-            structure,
-            trials=args.trials,
-            seed=args.seed,
-            params=params,
-            faults_per_trial=args.faults,
-            constants=CONSTANTS,
-            deep_audit=not args.no_deep_audit,
-            minimize=args.minimize or bool(args.artifact_dir),
-            artifact_dir=args.artifact_dir,
-        )
-        reports.append(report)
-        print(report.render())
-        print()
-    print(render_soak_summary(reports))
-    return 0 if all(r.ok for r in reports) else 1
-
-
 def cmd_scenarios(args) -> int:
-    """Drive the adversarial scenario engine (docs/SCENARIOS.md).
+    """Print the adversarial scenario catalog (docs/SCENARIOS.md)."""
+    from .scenarios import get_scenario, scenario_names
 
-    Default: soak the catalog (or ``--scenario NAME``) through chaos
-    fault injection and/or the three-config differential panel at the
-    chosen ``--scale``; exit 0 iff every verdict is GREEN.
-    ``--trace-out PATH`` instead spills one scenario's stream to a
-    sealed trace file *out-of-core* — the stream is drained straight
-    through a :class:`~repro.graphs.tracefile.TraceWriter`, so even the
-    ``large`` (10^6 edge-update) scale never materialises in memory.
-    """
-    from .graphs.tracefile import write_stream
-    from .scenarios import (
-        get_scenario,
-        params_for,
-        render_scenario_summary,
-        scenario_names,
-        scenario_stream,
-        soak_scenario,
-    )
-
-    if args.list:
-        rows = [
-            [name, "yes" if get_scenario(name).bounded_window else "no",
-             get_scenario(name).summary]
-            for name in scenario_names()
-        ]
-        print(render_table(["scenario", "windowed", "summary"], rows))
-        return 0
-    names = [args.scenario] if args.scenario else scenario_names()
-    if args.trace_out:
-        if len(names) != 1:
-            raise SystemExit("scenarios: --trace-out requires an explicit --scenario")
-        name = names[0]
-        params = params_for(args.scale, seed=args.seed)
-        with _trace.span("scenario.spill", scenario=name):
-            write_stream(scenario_stream(name, params), args.trace_out)
-        info = scan_trace(args.trace_out, strict=True)
-        print(
-            f"spilled {name} @ {args.scale} to {args.trace_out}: "
-            f"{info.batches} batches, {info.edge_updates} edge updates, "
-            f"max {info.max_live_edges} live edges, {info.vertices} vertices"
-        )
-        return 0
-    dashboard = None
-    server = None
-    if getattr(args, "serve_metrics", None) is not None:
-        server = _serve_metrics_or_die(REGISTRY, args.serve_metrics)
-    if getattr(args, "live", False):
-        # no tracer sink plumbing here — the dashboard ticks itself from
-        # a daemon thread while the soak publishes into the registry.
-        from .instrument.live import LiveDashboard
-
-        dashboard = LiveDashboard(REGISTRY, sys.stderr)
-        dashboard.start()
-    reports = []
-    try:
-        for name in names:
-            report = soak_scenario(
-                name,
-                scale=args.scale,
-                seed=args.seed,
-                mode=args.soak,
-                trials=args.trials,
-                faults_per_trial=args.faults,
-                deep_every=args.deep_every,
-                constants=CONSTANTS,
-                minimize=args.minimize,
-                artifact_dir=args.artifact_dir,
-            )
-            reports.append(report)
-            print(report.render())
-            print()
-    finally:
-        if dashboard is not None:
-            dashboard.close()
-        if server is not None:
-            server.close()
-    print(render_scenario_summary(reports))
-    return 0 if all(r.ok for r in reports) else 1
+    rows = [
+        [name, "yes" if get_scenario(name).bounded_window else "no",
+         get_scenario(name).summary]
+        for name in scenario_names()
+    ]
+    print(render_table(["scenario", "windowed", "summary"], rows))
+    return 0
 
 
 def cmd_serve(args) -> int:
@@ -568,23 +493,91 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def _usage(message: str) -> NoReturn:
+    # exit 1 means "divergence caught" (or "did NOT reproduce") to CI
+    print(f"repro verify: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in sorted(names))
+
+
+def _sources(args, given: set, seed: int, height: Optional[int]) -> list:
+    """Every stream of one ``repro verify`` run, built and validated
+    before any replay: ``(label, header, ops, n, H, params)``; ``params``
+    shapes a fault trial's re-seeded stream."""
+    from .resilience.chaos import DEFAULT_STREAM
+    from .scenarios import (
+        ScenarioParams,
+        measured_stream,
+        params_for,
+        scenario_names,
+        suggested_height,
+    )
+
+    try:
+        if "trace" in given:
+            ops = read_trace(args.trace)
+            n = max(validate_trace(ops), 2)
+            return [(pathlib.Path(args.trace).stem, None, ops, n, height or 4, None)]
+        if "scenario" not in given:
+            p = ScenarioParams(
+                getattr(args, "n", DEFAULT_STREAM.n),
+                getattr(args, "batches", DEFAULT_STREAM.batches),
+                getattr(args, "batch_size", DEFAULT_STREAM.batch_size),
+                seed=seed,
+            )
+            ops = streams.churn(p.n, steps=p.batches, batch_size=p.batch_size, seed=seed)
+            return [("churn", None, ops, max(validate_trace(ops), 2), height or 4, p)]
+    except (OSError, ReproError) as exc:
+        _usage(str(exc))
+    scale = getattr(args, "scale", "ci")
+    p = params_for(scale, seed=seed)
+    sources = []
+    for name in scenario_names() if args.scenario == "all" else [args.scenario]:
+        ops, stats = measured_stream(name, p)
+        H = height or suggested_height(name, p)
+        header = (
+            f"scenario [{name} @ {scale}]: {stats.batches} batches, "
+            f"{stats.edge_updates} edge updates, max {stats.max_live_edges} "
+            f"live edges, H {H}"
+        )
+        sources.append((name, header, ops, p.n, H, p))
+    return sources
+
+
 def cmd_verify(args) -> int:
-    """Replay a trace auditing structure invariants after every batch.
+    """The one verdict command (docs/VERIFICATION.md).
 
-    ``--replay ARTIFACT`` instead re-runs a minimized repro artifact
-    (written by ``verify diff --artifact-out`` or the chaos harness) and
-    exits 0 iff the recorded failure still reproduces.
+    Replays one stream source — ``--trace``, ``--scenario NAME|all`` at
+    ``--scale``, or a churn stream generated from ``--n/--batches/
+    --batch-size`` — once per ``--structure`` kind.  By default each
+    replay is a differential panel (``--configs``, plus an un-recovered
+    ``--inject`` member) whose baseline is audited against the exact
+    oracles every ``--deep-every`` batches.  ``--faults F`` instead runs
+    ``--trials`` seeded fault-injection trials, each a one-member
+    recovered panel.  ``--artifact-out DIR`` shrinks every red run to a
+    replayable artifact under DIR; ``--replay ARTIFACT`` re-runs one and
+    exits 0 iff it still fails.  Otherwise exit 0 iff every verdict is
+    GREEN, 1 on a red verdict; a usage error exits 2 before any replay.
     """
-    from .errors import ParameterError
-    from .verify import replay_artifact
-    from .verify.audits import replay_audit
+    from .resilience.chaos import chaos_soak, render_soak_summary
+    from .verify import (
+        RunnerConfig,
+        default_configs,
+        minimize_repro,
+        replay_artifact,
+        run_diff,
+    )
 
-    if args.replay:
+    given = set(vars(args)) - {"command", "func"}
+    if "replay" in given:
+        if given != {"replay"}:
+            _usage(f"--replay takes no other flag, got {_flags(given - {'replay'})}")
         try:
             reproduced, text = replay_artifact(args.replay)
         except ParameterError as exc:
-            # exit 1 means "did not reproduce" to CI: a malformed artifact
-            # is a usage error instead
             print(f"repro verify: error: {exc}", file=sys.stderr)
             return 2
         print(text)
@@ -593,82 +586,122 @@ def cmd_verify(args) -> int:
             return 0
         print("repro artifact did NOT reproduce — the failure moved or is fixed")
         return 1
-    if not args.trace:
-        raise SystemExit("verify: --trace is required (or use --replay ARTIFACT)")
-    ops = read_trace(args.trace)
-    validate_trace(ops)
-    report = replay_audit(
-        ops,
-        H=args.height,
-        constants=CONSTANTS,
-        deep_every=args.deep_every,
-    )
-    print(report.render())
-    return 0 if report.ok else 1
+    shape = given & {"n", "batches", "batch_size"}
+    if len(given & {"trace", "scenario"}) + bool(shape) != 1:
+        _usage("pick one stream: --trace PATH, --scenario NAME|all, or --n/--batches/--batch-size")
+    if "scale" in given and "scenario" not in given:
+        _usage("--scale needs --scenario")
+    faults = getattr(args, "faults", 0)
+    clash = given & {"trace", "configs", "inject", "deep_every", "eps"}
+    if faults and clash:
+        _usage(f"--faults runs fault trials; drop {_flags(clash)}")
+    if not faults and "trials" in given:
+        _usage("--trials needs --faults F > 0")
+    seed, eps = getattr(args, "seed", 0), getattr(args, "eps", 0.35)
+    sources = _sources(args, given, seed, getattr(args, "height", None))
+    kinds = getattr(args, "structure", ["ladders"])
+    out_dir = getattr(args, "artifact_out", None)
+
+    if faults:
+        reports = []
+        for label, header, _ops, _n, H, params in sources:
+            if header:
+                print(header)
+            for kind in kinds:
+                report = chaos_soak(
+                    kind, trials=getattr(args, "trials", 10), seed=seed,
+                    params=params, faults_per_trial=faults, H=H,
+                    constants=CONSTANTS, artifact_dir=out_dir,
+                    stream_kinds=[label] if header else None,
+                )
+                if header:
+                    report.structure = f"{kind} @ {label}"
+                reports.append(report)
+                print(report.render() + "\n")
+        print(render_soak_summary(reports))
+        return 0 if all(r.ok for r in reports) else 1
+
+    panel = list(getattr(args, "configs", default_configs()))
+    if "inject" in given:
+        panel.append(RunnerConfig("injected", faults=(args.inject,), cost_class=None))
+    ok = True
+    for label, header, ops, n, H, _params in sources:
+        if header:
+            print(header)
+        for kind in kinds:
+            params = dict(
+                kind=kind, H=H, eps=eps, seed=seed, n=n,
+                deep_every=getattr(args, "deep_every", 0),
+            )
+            report = run_diff(ops, configs=panel, constants=CONSTANTS, **params)
+            print(f"[{kind} @ {label}] {report.render()}")
+            ok = ok and report.ok
+            if report.ok or out_dir is None:
+                continue
+            minimal, path = minimize_repro(
+                ops, report, pathlib.Path(out_dir) / f"repro_{kind}_{label}.json",
+                configs=panel, constants=CONSTANTS, **params,
+            )
+            print(
+                f"\nminimized repro: {len(minimal)} batch(es), "
+                f"{sum(op.size for op in minimal)} edge update(s)"
+            )
+            for op in minimal:
+                print(f"  {op.kind} {list(op.edges)}")
+            print(f"wrote repro artifact to {path}")
+    return 0 if ok else 1
+
+
+def _arg(check):
+    """An argparse ``type=``: a value ``check`` rejects exits 2, one line."""
+
+    def parse(text: str):
+        try:
+            return check(text)
+        except (ValueError, ReproError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(f"must be >= 0, got {text}")
+    return int(text)
+
+
+def _kinds(text: str) -> list[str]:
+    from .verify.differential import KINDS
+
+    if not set(text.split(",")) <= set(KINDS):
+        raise ValueError(f"unknown structure in {text!r}; expected from {KINDS}")
+    return text.split(",")
+
+
+def _panel(text: str) -> list:
+    from .verify import configs_by_name
+
+    return configs_by_name(text.split(","))
+
+
+def _scenario(text: str) -> str:
+    from .scenarios import get_scenario
+
+    return get_scenario(text).name
 
 
 def _fault_triple(text: str) -> tuple[str, int, str]:
     """Parse and validate ``SITE[:HIT[:ACTION]]`` (the ``--inject`` value)."""
-    from .errors import ParameterError
     from .resilience.faults import FaultSpec
 
     site, _, rest = text.partition(":")
     hit, _, action = rest.partition(":")
     try:
-        spec = FaultSpec(site=site, hit=int(hit or 1), action=action or "raise")
+        hit_no = int(hit or 1)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"HIT must be an integer, got {hit!r}") from None
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise ValueError(f"HIT must be an integer, got {hit!r}") from None
+    spec = FaultSpec(site=site, hit=hit_no, action=action or "raise")
     return (spec.site, spec.hit, spec.action)
-
-
-def cmd_verify_diff(args) -> int:
-    """Differential replay: one stream, every execution config, zero drift."""
-    from .verify import (
-        RunnerConfig,
-        configs_by_name,
-        default_configs,
-        minimize_repro,
-        run_diff,
-    )
-
-    if args.trace:
-        ops = read_trace(args.trace)
-    else:
-        ops = streams.churn(
-            args.n, steps=args.batches, batch_size=args.batch_size, seed=args.seed
-        )
-    n = max(validate_trace(ops), 2)
-    if args.configs:
-        panel = configs_by_name(
-            [s.strip() for s in args.configs.split(",") if s.strip()]
-        )
-    else:
-        panel = default_configs()
-    if args.inject:
-        panel = panel + [
-            RunnerConfig("injected", faults=(args.inject,), cost_class=None)
-        ]
-    params = {"eps": args.eps, "seed": args.seed, "n": n, "deep_every": args.deep_every}
-    report = run_diff(ops, configs=panel, constants=CONSTANTS, **params)
-    print(report.render())
-    if report.ok:
-        return 0
-    if args.minimize or args.artifact_out:
-        minimal, path = minimize_repro(
-            ops, report, args.artifact_out, configs=panel, constants=CONSTANTS,
-            **params,
-        )
-        print(
-            f"\nminimized repro: {len(minimal)} batch(es), "
-            f"{sum(op.size for op in minimal)} edge update(s)"
-        )
-        for op in minimal:
-            print(f"  {op.kind} {list(op.edges)}")
-        if path is not None:
-            print(f"wrote repro artifact to {path}")
-    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -688,6 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["insert-only", "window", "churn", "insert-delete"],
     )
     g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--scenario", metavar="NAME", type=_arg(_scenario),
+                   help="spill a catalog scenario's stream out-of-core instead")
+    g.add_argument("--scale", default="ci", choices=["tiny", "ci", "bench", "large"],
+                   help="the --scenario preset (large = 10^6 edge updates)")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -737,102 +774,48 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_exact)
 
     v = sub.add_parser(
-        "verify", help="replay a trace auditing structure invariants per batch"
+        "verify", argument_default=argparse.SUPPRESS,
+        help="the one verdict command: a differential panel or seeded fault "
+             "trials over one stream (docs/VERIFICATION.md)",
     )
-    v.add_argument("--trace", help="trace file to audit")
-    v.add_argument("--height", type=int, default=5)
-    v.add_argument("--deep-every", type=int, default=0,
-                   help="also audit estimate bands every N batches (slow)")
+    v.add_argument("--trace", metavar="PATH", help="stream: a trace file")
+    v.add_argument("--scenario", metavar="NAME|all",
+                   type=_arg(lambda text: text if text == "all" else _scenario(text)),
+                   help="stream: a catalog scenario, or all (docs/SCENARIOS.md)")
+    v.add_argument("--scale", choices=["tiny", "ci", "bench", "large"],
+                   help="the --scenario preset (default ci)")
+    v.add_argument("--n", type=_arg(_count),
+                   help="stream: generated churn on N vertices (default 24)")
+    v.add_argument("--batches", type=_arg(_count), help="its batches (default 20)")
+    v.add_argument("--batch-size", type=_arg(_count), help="its batch size (default 6)")
+    v.add_argument("--seed", type=int,
+                   help="seeds streams, structures and fault plans (default 0)")
+    v.add_argument("--structure", metavar="KIND[,KIND...]", type=_arg(_kinds),
+                   help="ladders, balanced, coreness, density (default ladders)")
+    v.add_argument("--height", type=_arg(lambda text: check_height(int(text))),
+                   help="BALANCED(H)'s H (default: the scenario's hint, else 4)")
+    v.add_argument("--eps", type=_arg(lambda text: check_eps(float(text))),
+                   help="the ladders' eps (default 0.35)")
+    v.add_argument("--configs", metavar="A,B,...", type=_arg(_panel),
+                   help="the panel (default serial,telemetry,chaos-recovered)")
+    v.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]", type=_arg(_fault_triple),
+                   help="add an un-recovered fault-injected panel member")
+    v.add_argument("--deep-every", metavar="K", type=_arg(_count),
+                   help="audit the panel baseline against the exact oracles "
+                        "every K batches (default 0: never)")
+    v.add_argument("--faults", metavar="F", type=_arg(_count),
+                   help="run seeded fault trials with F faults each, not the panel")
+    v.add_argument("--trials", metavar="T", type=_arg(_count),
+                   help="fault trials per structure and stream (default 10)")
+    v.add_argument("--artifact-out", metavar="DIR",
+                   help="shrink every red run into a repro artifact under DIR")
     v.add_argument("--replay", metavar="ARTIFACT",
-                   help="re-run a minimized repro artifact; exit 0 iff it "
-                        "still reproduces the recorded failure")
+                   help="re-run a repro artifact; exit 0 iff it still fails")
     v.set_defaults(func=cmd_verify)
-    v_sub = v.add_subparsers(dest="verify_cmd")
-    d = v_sub.add_parser(
-        "diff",
-        help="replay one stream through every execution config and diff "
-             "per-batch outputs (docs/VERIFICATION.md)",
-    )
-    d.add_argument("--trace", help="trace file (default: generate a churn stream)")
-    d.add_argument("--n", type=int, default=32,
-                   help="vertex count of the generated churn stream")
-    d.add_argument("--batches", type=int, default=200,
-                   help="batch count of the generated churn stream")
-    d.add_argument("--batch-size", type=int, default=6)
-    d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--eps", type=float, default=0.35)
-    d.add_argument("--deep-every", type=int, default=0,
-                   help="audit the baseline vs the exact oracles every N batches")
-    d.add_argument("--configs", metavar="A,B,...",
-                   help="comma-separated panel (default: serial, telemetry, "
-                        "chaos-recovered)")
-    d.add_argument("--inject", metavar="SITE[:HIT[:ACTION]]", type=_fault_triple,
-                   help="add an un-recovered fault-injected config (the "
-                        "harness must catch and shrink it)")
-    d.add_argument("--minimize", action="store_true",
-                   help="on divergence, ddmin-shrink the stream to a minimal repro")
-    d.add_argument("--artifact-out", metavar="PATH",
-                   help="write the minimized repro as a replayable artifact")
-    d.set_defaults(func=cmd_verify_diff)
-
-    c = sub.add_parser(
-        "chaos", help="soak the structures under seeded fault injection"
-    )
-    c.add_argument(
-        "--structure",
-        default="all",
-        choices=["all", "balanced", "coreness", "density"],
-    )
-    c.add_argument("--trials", type=int, default=10)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--n", type=int, default=24)
-    c.add_argument("--batches", type=int, default=20)
-    c.add_argument("--batch-size", type=int, default=6)
-    c.add_argument("--faults", type=int, default=2,
-                   help="planned fault injections per trial")
-    c.add_argument("--no-deep-audit", action="store_true",
-                   help="skip the exact-oracle band audits")
-    c.add_argument("--minimize", action="store_true",
-                   help="ddmin-shrink every failing trial's stream")
-    c.add_argument("--artifact-dir", metavar="DIR",
-                   help="write minimized repro artifacts under DIR "
-                        "(implies --minimize)")
-    c.set_defaults(func=cmd_chaos)
 
     sc = sub.add_parser(
-        "scenarios",
-        help="soak or spill the adversarial scenario catalog (docs/SCENARIOS.md)",
+        "scenarios", help="list the adversarial scenario catalog (docs/SCENARIOS.md)"
     )
-    sc.add_argument("--list", action="store_true",
-                    help="list the scenario catalog and exit")
-    sc.add_argument("--scenario", metavar="NAME",
-                    help="one scenario (default: the whole catalog)")
-    sc.add_argument("--scale", default="ci",
-                    choices=["tiny", "ci", "bench", "large"],
-                    help="named parameter preset (large = 10^6 edge updates)")
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--soak", default="both", choices=["chaos", "diff", "both"],
-                    help="which verdict machinery to run")
-    sc.add_argument("--trials", type=int, default=3,
-                    help="chaos fault-injection trials per scenario")
-    sc.add_argument("--faults", type=int, default=2,
-                    help="planned fault injections per chaos trial")
-    sc.add_argument("--deep-every", type=int, default=0,
-                    help="exact-oracle deep audit every N diff batches")
-    sc.add_argument("--minimize", action="store_true",
-                    help="ddmin-shrink every failing chaos trial's stream")
-    sc.add_argument("--artifact-dir", metavar="DIR",
-                    help="write minimized repro artifacts under DIR "
-                         "(implies --minimize)")
-    sc.add_argument("--trace-out", metavar="PATH",
-                    help="spill the scenario stream out-of-core to a sealed "
-                         "trace file instead of soaking")
-    sc.add_argument("--live", action="store_true",
-                    help="tick a live status line to stderr while soaking")
-    sc.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
-                    help="expose the metrics registry as Prometheus text on "
-                         "http://127.0.0.1:PORT/metrics while soaking "
-                         "(PORT 0 = ephemeral; the bound URL is printed)")
     sc.set_defaults(func=cmd_scenarios)
 
     sv = sub.add_parser(

@@ -1,7 +1,6 @@
 """Live run dashboard and the HTTP metrics endpoint.
 
-``repro run --live`` (and ``repro scenarios --live``) attach a
-:class:`LiveDashboard` to the process-wide
+``repro run --live`` attaches a :class:`LiveDashboard` to the process-wide
 :class:`~repro.instrument.telemetry.MetricsRegistry`: a single terminal
 status line redrawn in place (``\\r`` + erase on a tty, throttled plain
 lines otherwise) showing batch progress, throughput, ETA and the top-3
@@ -66,10 +65,9 @@ class LiveDashboard:
     """A one-line terminal view over a live :class:`MetricsRegistry`.
 
     Use it as a tracer sink (``sinks=[dash]`` — every span/event tick
-    gives it a chance to redraw, throttled to ``interval``) or drive it
-    from a daemon thread via :meth:`start` when no sink plumbing exists
-    (``repro scenarios --live``).  ``total_batches`` (when known from the
-    trace scan) turns throughput into an ETA.
+    gives it a chance to redraw, throttled to ``interval``).
+    ``total_batches`` (when known from the trace scan) turns throughput
+    into an ETA.
 
     On a tty each frame is ``\\r`` + erase-line + the new frame; on a
     plain pipe frames are whole lines, further throttled (10x interval)
@@ -93,8 +91,6 @@ class LiveDashboard:
         self.t0 = clock()
         self._last_draw: Optional[float] = None
         self._isatty = bool(getattr(out, "isatty", lambda: False)())
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self.frames = 0
 
     # -- the sink protocol ---------------------------------------------------
@@ -150,29 +146,8 @@ class LiveDashboard:
             self.out.write(frame + "\n")
         self.out.flush()
 
-    # -- optional self-ticking (no sink plumbing available) ------------------
-
-    def start(self) -> None:
-        """Tick from a daemon thread every ``interval`` seconds."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-
-        def loop() -> None:
-            while not self._stop.wait(self.interval):
-                self.maybe_render()
-
-        self._thread = threading.Thread(
-            target=loop, name="repro-live-dashboard", daemon=True
-        )
-        self._thread.start()
-
     def close(self) -> None:
-        """Stop any ticker thread and print the final frame."""
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        """Print the final frame."""
         self._draw(self.render(), final=True)
 
 

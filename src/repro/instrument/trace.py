@@ -55,7 +55,6 @@ SPAN_TAXONOMY: dict[str, str] = {
     "verify.audit": "deep exact-oracle audit of coreness/density bands",
     "verify.minimize": "ddmin shrinking of a failing stream",
     "scenario.stream": "drain of one adversarial scenario stream (attr: scenario)",
-    "scenario.soak": "chaos/diff soak of one scenario (attr: scenario)",
     "scenario.spill": "out-of-core spill of a scenario stream to a tracefile",
 }
 

@@ -17,7 +17,7 @@ Four layers (docs/ROBUSTNESS.md has the full failure model):
   :class:`~repro.resilience.recovery.RecoveryManager`: rollback →
   checkpoint + suffix replay → full rebuild, recording which tier fired.
 * :mod:`~repro.resilience.chaos` — the randomized soak harness behind
-  ``repro chaos`` and benchmark E20: seeded one-member differential
+  ``repro verify --faults`` and benchmark E20: seeded one-member differential
   panels (:func:`~repro.verify.differential.run_diff`).
 
 ``faults`` and ``guard`` import nothing from :mod:`repro.core` at module

@@ -1,7 +1,7 @@
 """Chaos soak harness — randomized fault injection over replayed streams.
 
-One *trial* = one structure, one generated update stream, one seeded
-fault plan.  A trial is a one-member differential panel
+One *trial* = one structure, one update stream, one seeded fault plan.
+A trial is a one-member differential panel
 (:func:`~repro.verify.differential.run_diff`): the member applies the
 stream through a :class:`~repro.resilience.recovery.RecoveryManager`
 while faults fire at the instrumented sites, and is then judged by the
@@ -12,16 +12,16 @@ panel's final verdict for recovered members:
 * a fault-free :func:`~repro.verify.audits.replay_audit` of the
   committed batches (orientation trials);
 * the coreness/density approximation bands against the exact oracles
-  (ladder trials, with ``deep_audit``).
+  (ladder trials).
 
 The soak aggregates the per-trial
 :class:`~repro.instrument.metrics.RecoveryStats` scoreboards into a
 :class:`ChaosReport`; ``report.ok`` means every injected fault was
 recovered and every audit came back green.  Everything is seeded — a
-failing ``(structure, seed, trial)`` triple replays exactly.
-``chaos_soak(minimize=True)`` shrinks every failing trial's stream with
-the panel's ddmin minimizer and, given ``artifact_dir``, writes it as a
-replayable ``"diff"`` artifact (``repro verify --replay``).
+failing ``(structure, seed, trial)`` triple replays exactly.  Given
+``artifact_dir``, every failing trial's stream is shrunk with the
+panel's ddmin minimizer and written as a replayable ``"diff"`` artifact
+(``repro verify --replay``).  ``repro verify --faults F`` is the CLI.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from ..verify.artifact import minimize_repro
 from ..verify.differential import RunnerConfig, run_diff
 from .faults import SITES, FaultInjector
 
-STRUCTURES = ("balanced", "coreness", "density")
 _STREAM_KINDS = ("churn", "insert_then_delete", "sliding_window")
 
-#: The trial stream shape of ``repro chaos``: vertices, batches, batch size.
+#: The generated stream shape of ``repro verify``: vertices, batches,
+#: batch size.
 DEFAULT_STREAM = ScenarioParams(n=24, batches=20, batch_size=6)
 
 
@@ -124,8 +124,6 @@ def chaos_soak(
     audit_every: int = 1,
     constants: Constants = DEFAULT_CONSTANTS,
     sites: Optional[Sequence[str]] = None,
-    deep_audit: bool = True,
-    minimize: bool = False,
     artifact_dir: Optional[str | pathlib.Path] = None,
     stream_kinds: Optional[Sequence[str]] = None,
 ) -> ChaosReport:
@@ -136,12 +134,10 @@ def chaos_soak(
     trial through ``stream_kinds`` — by default churn /
     insert-then-delete / sliding-window, so inserts, deletes and mixed
     workloads all see faults; any registered adversarial scenario name
-    (:mod:`repro.scenarios`) can stand in, which is how the ``repro
-    scenarios`` soak runs its chaos side.  The fault plan is seeded with
-    ``trial_seed ^ 0x5EED``.  ``deep_audit=False`` skips the
-    exact-oracle audits (the per-batch health checks and replay
-    audit still run).  ``minimize=True`` shrinks every failing trial's
-    stream to a minimal repro; with ``artifact_dir`` each is written as a
+    (:mod:`repro.scenarios`) can stand in, which is how ``repro verify
+    --scenario NAME --faults F`` runs.  The fault plan is seeded with
+    ``trial_seed ^ 0x5EED``.  Given ``artifact_dir``, every failing
+    trial's stream is shrunk to a minimal repro, written there as a
     replayable artifact and listed in ``report.repros``.
     """
     report = ChaosReport(structure=structure)
@@ -168,7 +164,7 @@ def chaos_soak(
             H=H,
             seed=trial_seed,
             n=params.n,
-            deep_every=int(deep_audit),
+            deep_every=1,
         )
         diff = run_diff(ops, configs=[member], constants=constants, **run)
         stats = diff.recovery[member.name]
@@ -181,11 +177,8 @@ def chaos_soak(
             continue
         tag = f"trial {trial} ({kind}, seed {trial_seed})"
         report.findings.extend(f"{tag}: {d.render()}" for d in diff.divergences)
-        if minimize:
-            path = None
-            if artifact_dir is not None:
-                name = f"repro_{structure}_{kind}_trial{trial}.json"
-                path = pathlib.Path(artifact_dir) / name
+        if artifact_dir is not None:
+            path = pathlib.Path(artifact_dir) / f"repro_{structure}_{kind}_trial{trial}.json"
             minimal, written = minimize_repro(
                 ops, diff, path, configs=[member], constants=constants, **run
             )
@@ -193,8 +186,7 @@ def chaos_soak(
                 f"trial {trial}: minimized to {len(minimal)} batch(es), "
                 f"{sum(op.size for op in minimal)} edge(s)"
             )
-            if written is not None:
-                report.repros.append(str(written))
+            report.repros.append(str(written))
     return report
 
 

@@ -12,10 +12,12 @@ package turns the hardness literature into executable adversaries:
   (hint misestimation, core-boundary oscillation, skew flip,
   sliding-window churn), with the hardness-paper rationale per scenario
   in docs/SCENARIOS.md;
-* :mod:`repro.scenarios.soak` — every scenario as a first-class soak
-  target: fault-injected chaos trials (tiered recovery + ddmin repros)
-  and the full three-config differential panel, driven by the
-  ``repro scenarios`` CLI.
+* :mod:`repro.scenarios.soak` — a scenario stream measured as it is
+  drained, for ``repro verify --scenario NAME`` (the differential panel,
+  or fault-injected trials with ``--faults``).
+
+``repro scenarios`` prints the catalog and ``repro generate --scenario
+NAME --scale S --out PATH`` spills a stream out-of-core to a trace file.
 """
 
 from .registry import (
@@ -28,24 +30,16 @@ from .registry import (
     scenario_stream,
     suggested_height,
 )
-from .soak import (
-    SOAK_MODES,
-    ScenarioSoakReport,
-    render_scenario_summary,
-    soak_scenario,
-)
+from .soak import measured_stream
 
 __all__ = [
     "SCALES",
-    "SOAK_MODES",
     "Scenario",
     "ScenarioParams",
-    "ScenarioSoakReport",
     "get_scenario",
+    "measured_stream",
     "params_for",
-    "render_scenario_summary",
     "scenario_names",
     "scenario_stream",
-    "soak_scenario",
     "suggested_height",
 ]

@@ -11,7 +11,8 @@ and the constants.  A chaos trial is a one-member panel, so its
 failures are written the same way.
 
 :func:`minimize_repro` is the one shrink-and-write path: ``repro verify
-diff``, ``repro chaos`` and ``repro scenarios`` all reach it.
+--artifact-out`` reaches it for red panels and, through
+:func:`~repro.resilience.chaos.chaos_soak`, for red fault trials.
 ``replay_artifact`` re-runs the scenario and reports whether the
 recorded failure **reproduces** — the exit-0 condition of ``repro
 verify --replay`` is "yes, it still fails", because a repro artifact

@@ -10,8 +10,9 @@ verifies structures against *external* ground truth:
   the Theorem 5.1/1.1 band scaled by configurable slack;
 * :func:`audit_density` — the density ladder against the exact flow
   oracle and the flow-optimal orientation;
-* :func:`replay_audit` — replays a batch stream, auditing after every
-  batch; used by the CLI's ``verify`` subcommand and the soak tests.
+* :func:`replay_audit` — replays a batch stream through BALANCED(H),
+  auditing after every batch; the fault-free reference of a chaos
+  trial's final verdict (:mod:`repro.verify.differential`).
 
 Every function returns an :class:`AuditReport`; ``ok`` is False with a
 list of findings rather than raising, so operators can log everything.
@@ -23,11 +24,10 @@ The differential layer on top of these absolute audits lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import InvariantViolation
 from ..graphs.streams import BatchOp
-from ..instrument import trace as _trace
 
 #: How many example violations each finding embeds before summarising.
 SAMPLE_LIMIT = 3
@@ -144,59 +144,33 @@ def audit_density(
 
 def replay_audit(
     ops: Sequence[BatchOp],
-    H: Optional[int] = None,
-    eps: float = 0.4,
+    H: int,
     constants=None,
     audit_every: int = 1,
-    deep_every: int = 0,
 ) -> AuditReport:
-    """Replay a stream, auditing the orientation after every batch.
+    """Replay a stream through BALANCED(H), auditing the orientation
+    against the ground-truth graph after every ``audit_every``-th batch.
 
-    ``deep_every > 0`` additionally audits coreness/density bands every
-    that many batches (expensive: runs the exact oracles).
+    The coreness/density band audits run through the differential panel
+    instead (``run_diff(kind="ladders", deep_every=K)``).
     """
     from ..config import DEFAULT_CONSTANTS
     from ..core.balanced import BalancedOrientation
-    from ..core.coreness import CorenessDecomposition
-    from ..core.density import DensityEstimator
     from ..graphs.graph import DynamicGraph
 
-    constants = constants or DEFAULT_CONSTANTS
     report = AuditReport("stream replay")
     graph = DynamicGraph(0)
-    # size the orientation to the stream if no hint given
-    n_guess = max((max(e) for op in ops for e in op.edges), default=1) + 1
-    st = BalancedOrientation(H or 5, constants=constants)
-    core = dens = None
-    if deep_every:
-        core = CorenessDecomposition(n_guess, eps, constants=constants)
-        dens = DensityEstimator(n_guess, eps, constants=constants)
+    st = BalancedOrientation(H, constants=constants or DEFAULT_CONSTANTS)
     for i, op in enumerate(ops):
         if op.kind == "insert":
             graph.insert_batch(op.edges)
             st.insert_batch(op.edges)
-            if core is not None:
-                core.insert_batch(op.edges)
-                dens.insert_batch(op.edges)
         else:
             graph.delete_batch(op.edges)
             st.delete_batch(op.edges)
-            if core is not None:
-                core.delete_batch(op.edges)
-                dens.delete_batch(op.edges)
         if audit_every and i % audit_every == 0:
             sub = audit_orientation(st, graph)
             if not sub.ok:
                 sub.subject += f" (batch {i})"
                 report.merge(sub)
-        if deep_every and i % deep_every == deep_every - 1:
-            with _trace.span("verify.audit", detail={"batch": i}):
-                sub = audit_coreness(core, graph)
-                if not sub.ok:
-                    sub.subject += f" (batch {i})"
-                    report.merge(sub)
-                sub = audit_density(dens, graph)
-                if not sub.ok:
-                    sub.subject += f" (batch {i})"
-                    report.merge(sub)
     return report

@@ -82,8 +82,14 @@ class TestReplayAudit:
         assert report.ok, report.render()
 
     def test_deep_audit_runs(self):
+        # the coreness/density band audits run as a one-member panel
+        from repro.verify import RunnerConfig, run_diff
+
         ops = streams.insert_only(gen.grid(4, 4)[1], 8)
-        report = replay_audit(ops, H=4, constants=SMALL, deep_every=2)
+        report = run_diff(
+            ops, configs=[RunnerConfig("serial")], kind="ladders",
+            eps=0.4, constants=SMALL, deep_every=2,
+        )
         assert report.ok, report.render()
 
 

@@ -117,16 +117,6 @@ class TestLiveDashboard:
         assert out.getvalue().endswith("\n")
         assert dash.frames == 1
 
-    def test_start_close_thread_lifecycle(self):
-        dash = LiveDashboard(
-            populated_registry(), io.StringIO(), interval=0.01
-        )
-        dash.start()
-        dash.start()  # idempotent
-        assert dash._thread is not None
-        dash.close()
-        assert dash._thread is None
-
 
 class TestMetricsServer:
     def test_metrics_round_trip_over_http(self):

@@ -129,7 +129,10 @@ class TestCliErrorPaths:
 
         trace = tmp_path / "t.txt"
         trace.write_text("I 0 1 1 2\nD 0 1\n")
-        assert main(["verify", "--trace", str(trace)]) == 0
+        # BALANCED(H) audited against the graph after every batch
+        argv = ["verify", "--trace", str(trace), "--structure", "balanced",
+                "--configs", "serial", "--deep-every", "1"]
+        assert main(argv) == 0
 
     def test_malformed_trace_raises(self, tmp_path):
         from repro.cli import main

@@ -34,7 +34,6 @@ def test_ladder_soak_is_green(structure):
         faults_per_trial=2,
         params=ScenarioParams(n=16, batches=10, batch_size=4),
         constants=CONSTANTS,
-        deep_audit=False,  # the per-batch health audits still run
     )
     assert report.ok, report.render()
     assert report.faults_fired > 0

@@ -144,7 +144,7 @@ class TestChaosReplay:
             params=ScenarioParams(n=16, batches=10, batch_size=4),
             faults_per_trial=2, audit_every=0, constants=SMALL,
             sites=("tokens.push.settle", "tokens.drop.settle"),
-            minimize=True, artifact_dir=tmp_path,
+            artifact_dir=tmp_path,
         )
         assert report.findings, report.render()
         assert len(report.repros) == 2, report.render()
