@@ -228,7 +228,10 @@ def cmd_run(args) -> int:
     so ``--metrics-linger SECONDS`` now keeps it up after the summary
     prints.  Neither touches the cost model.
     """
-    info = scan_trace(args.trace)
+    try:
+        info = scan_trace(args.trace)
+    except (OSError, ReproError) as exc:
+        _usage(args, str(exc))
     n = max(info.vertices, 2)
     cm = CostModel()
     REGISTRY.clear()
@@ -339,8 +342,7 @@ def cmd_profile(args) -> int:
             f"error: --name {args.name!r} is not a plain file stem "
             "(letters, digits, '.', '_', '-'; no leading dot)"
         )
-    ops = read_trace(args.trace)
-    n = max(validate_trace(ops), 2)
+    ops, n = _load_trace(args)
 
     def measure(armed: bool):
         cm = CostModel()
@@ -407,8 +409,7 @@ def cmd_profile(args) -> int:
 
 def cmd_exact(args) -> int:
     """Exact offline measures of a trace's final graph."""
-    ops = read_trace(args.trace)
-    validate_trace(ops)
+    ops, _n = _load_trace(args)
     g = DynamicGraph(0)
     streams.replay(ops, g)
     cores = core_numbers(g)
@@ -493,10 +494,22 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _usage(message: str) -> NoReturn:
-    # exit 1 means "divergence caught" (or "did NOT reproduce") to CI
-    print(f"repro verify: error: {message}", file=sys.stderr)
+def _usage(args, message: str) -> NoReturn:
+    # exit 1 is a verdict to CI ("divergence caught", "did NOT reproduce",
+    # "telemetry perturbed the cost model"), so bad input exits 2
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _load_trace(args) -> tuple[list, int]:
+    """The ``--trace`` stream and its vertex-universe size, read and
+    validated before any replay; a missing or malformed trace is a usage
+    error, not a traceback."""
+    try:
+        ops = read_trace(args.trace)
+        return ops, max(validate_trace(ops), 2)
+    except (OSError, ReproError) as exc:
+        _usage(args, str(exc))
 
 
 def _flags(names) -> str:
@@ -516,11 +529,10 @@ def _sources(args, given: set, seed: int, height: Optional[int]) -> list:
         suggested_height,
     )
 
+    if "trace" in given:
+        ops, n = _load_trace(args)
+        return [(pathlib.Path(args.trace).stem, None, ops, n, height or 4, None)]
     try:
-        if "trace" in given:
-            ops = read_trace(args.trace)
-            n = max(validate_trace(ops), 2)
-            return [(pathlib.Path(args.trace).stem, None, ops, n, height or 4, None)]
         if "scenario" not in given:
             p = ScenarioParams(
                 getattr(args, "n", DEFAULT_STREAM.n),
@@ -530,8 +542,8 @@ def _sources(args, given: set, seed: int, height: Optional[int]) -> list:
             )
             ops = streams.churn(p.n, steps=p.batches, batch_size=p.batch_size, seed=seed)
             return [("churn", None, ops, max(validate_trace(ops), 2), height or 4, p)]
-    except (OSError, ReproError) as exc:
-        _usage(str(exc))
+    except ReproError as exc:
+        _usage(args, str(exc))
     scale = getattr(args, "scale", "ci")
     p = params_for(scale, seed=seed)
     sources = []
@@ -574,7 +586,7 @@ def cmd_verify(args) -> int:
     given = set(vars(args)) - {"command", "func"}
     if "replay" in given:
         if given != {"replay"}:
-            _usage(f"--replay takes no other flag, got {_flags(given - {'replay'})}")
+            _usage(args, f"--replay takes no other flag, got {_flags(given - {'replay'})}")
         try:
             reproduced, text = replay_artifact(args.replay)
         except ParameterError as exc:
@@ -588,15 +600,16 @@ def cmd_verify(args) -> int:
         return 1
     shape = given & {"n", "batches", "batch_size"}
     if len(given & {"trace", "scenario"}) + bool(shape) != 1:
-        _usage("pick one stream: --trace PATH, --scenario NAME|all, or --n/--batches/--batch-size")
+        _usage(args, "pick one stream: --trace PATH, --scenario NAME|all, "
+                     "or --n/--batches/--batch-size")
     if "scale" in given and "scenario" not in given:
-        _usage("--scale needs --scenario")
+        _usage(args, "--scale needs --scenario")
     faults = getattr(args, "faults", 0)
     clash = given & {"trace", "configs", "inject", "deep_every", "eps"}
     if faults and clash:
-        _usage(f"--faults runs fault trials; drop {_flags(clash)}")
+        _usage(args, f"--faults runs fault trials; drop {_flags(clash)}")
     if not faults and "trials" in given:
-        _usage("--trials needs --faults F > 0")
+        _usage(args, "--trials needs --faults F > 0")
     seed, eps = getattr(args, "seed", 0), getattr(args, "eps", 0.35)
     sources = _sources(args, given, seed, getattr(args, "height", None))
     kinds = getattr(args, "structure", ["ladders"])

@@ -2,12 +2,14 @@
 
 The data structure of Section 4: every vertex keeps a ranked out-edge set
 (:class:`~repro.core.outset.OutSet`) and an incoming-edge index
-(:class:`~repro.core.inindex.InIndex`) keyed by (truncated rank, truncated
-level of the tail); deletion-game labels live on vertices and are read at
-probe time.  Batch insertions run the
-token-dropping game on token bundles (Section 4.2); batch deletions run the
-token-pushing game (Section 4.3).  Between batches the structure satisfies
-the H-balancedness invariant of Definition 3.1::
+(:class:`~repro.core.inindex.InIndex`) keyed by the truncated level of the
+tail alone.  An arc's truncated rank is its position in the tail's out-set
+and its deletion-game label is its tail's vertex label, so neither is
+stored per arc: the in-index computes both at probe time.  Batch
+insertions run the token-dropping game on token bundles (Section 4.2);
+batch deletions run the token-pushing game (Section 4.3).  Between
+batches the structure satisfies the H-balancedness invariant of
+Definition 3.1::
 
     for every arc (u -> v):   min(H, d+(u)) <= min(H, d+(v)) + 1
 
@@ -64,8 +66,6 @@ class BalancedOrientation:
         self.out: dict[int, OutSet] = {}
         self.inx: dict[int, InIndex] = {}
         self.level: dict[int, int] = {}
-        # per-arc filing state, keyed (tail, head, copy)
-        self.tr_of: dict[tuple[int, int, int], int] = {}
         # deletion-game label of each vertex, carried by its out-arcs of
         # rank <= H; absent means 0, and no arc is re-filed when it changes
         self.vertex_label: dict[int, int] = {}
@@ -145,12 +145,11 @@ class BalancedOrientation:
         The single funnel through which guard rollback, checkpoint restore
         and ``bulk.from_graph`` (re)construct a structure from its logical
         state.  Pre-seeding levels before the ``_arc_add`` loop makes every
-        arc file under its final (tr, lev) key immediately, at O(m H log n)
-        cost (charged through ``_arc_add``).
+        arc file under its final level immediately, at O(m H log n) cost
+        (charged through ``_arc_add``).
         """
         self.out = {}
         self.inx = {}
-        self.tr_of = {}
         self.tail_of = {}
         self.level = dict(level)
         self.vertex_label = dict(vertex_label) if vertex_label else {}
@@ -177,45 +176,21 @@ class BalancedOrientation:
         unit = self._logn()
         self.cm.charge(work=unit, depth=unit)
 
-    def _expected_filing(self, tail: int, position: int) -> tuple[int, int]:
-        """(tr, lev) an arc at 1-indexed ``position`` must be filed at."""
-        tr = position if position <= self.H else self.H + 1
-        return tr, levkey(self.level.get(tail, 0), self.H)
-
     def _refile(self, tail: int, lo: int, hi: int) -> None:
-        """Re-file arcs of ``tail`` at positions ``lo..hi`` (clamped).
+        """Charge the paper's re-file of ``tail``'s arcs at positions
+        ``lo..hi`` (clamped) after a rank shift.
 
-        Recomputes the truncated rank of each arc and diffs it with the
-        stored filing — the single funnel through which rank shifts flow
-        (keeps the index correct by construction).
+        The positions re-file independently: O(span log n) work at one
+        O(log n) level of depth (a parallel scan over the window).  The
+        in-index computes truncated ranks at probe time, so nothing moves.
         """
         outset = self.out.get(tail)
         if outset is None:
             return
-        hi = min(hi, len(outset))
-        lo = max(1, lo)
-        # the positions re-file independently: O(span log n) work at one
-        # O(log n) level of depth (a parallel scan over the window).
-        span = hi - lo + 1
+        span = min(hi, len(outset)) - max(1, lo) + 1
         if span > 0:
             logn = self._logn()
             self.cm.charge(work=span * logn, depth=logn)
-        # the stored and expected levels agree inside a window (both are
-        # levkey(level[tail])), so only tr can differ — this loop is
-        # _expected_filing unrolled with the level component hoisted.
-        lev = self._stored_lev(tail)
-        H = self.H
-        tr_of, inx = self.tr_of, self.inx
-        position = lo - 1
-        for head, copy in outset.window(lo, hi):
-            position += 1
-            tr = position if position <= H else H + 1
-            arc = (tail, head, copy)
-            stored_tr = tr_of[arc]
-            if stored_tr != tr:
-                # a filed arc's head always has an in-index — direct hit
-                inx[head].move((tail, copy), (stored_tr, lev), (tr, lev))
-                tr_of[arc] = tr
 
     def _stored_lev(self, tail: int) -> int:
         return levkey(self.level.get(tail, 0), self.H)
@@ -227,10 +202,9 @@ class BalancedOrientation:
         outset = self._outset(tail)
         outset.add((head, copy))
         position = outset.rank((head, copy))
-        tr, lev = self._expected_filing(tail, position)
-        self.tr_of[(tail, head, copy)] = tr
-        self._inx(head).add(tail_key(tail, copy), tr, lev)
-        # ranks of later arcs shifted up by one; only first H+1 positions file.
+        self._inx(head).add((tail, copy), self._stored_lev(tail))
+        # ranks of later arcs shifted up by one; the paper re-files the
+        # first H+1 positions.
         self._refile(tail, position + 1, self.H + 1)
         a, b = norm_edge(tail, head)
         self.tail_of[(a, b, copy)] = tail
@@ -245,9 +219,7 @@ class BalancedOrientation:
         if outset is None or (head, copy) not in outset:
             raise InvariantViolation(f"arc {arc} missing from out-set")
         position = outset.rank((head, copy))
-        self.inx[head].remove(
-            tail_key(tail, copy), self.tr_of.pop(arc), self._stored_lev(tail)
-        )
+        self.inx[head].remove((tail, copy), self._stored_lev(tail))
         outset.remove((head, copy))
         self._refile(tail, position, self.H + 1)
         a, b = norm_edge(tail, head)
@@ -274,10 +246,9 @@ class BalancedOrientation:
             self.last_relevelled.setdefault(v, old_lev)
             outset = self.out.get(v)
             if outset is not None:
-                tr_of, inx = self.tr_of, self.inx
+                inx = self.inx
                 for head, copy in outset:  # moves touch the index, not the set
-                    tr = tr_of[(v, head, copy)]
-                    inx[head].move((v, copy), (tr, old_lev), (tr, new_lev))
+                    inx[head].move((v, copy), old_lev, new_lev)
             self._charge_arc_op()
         else:
             self.cm.charge(work=1, depth=1)
@@ -534,22 +505,18 @@ class BalancedOrientation:
                         f"arc ({v}->{head},{copy}): min(H,{lv}) > "
                         f"min(H,{self.level.get(head, 0)}) + 1 (H={self.H})"
                     )
-        # filing consistency: every arc filed exactly once, at the right key
+        # filing consistency: every arc filed exactly once, at its tail's level
         filed = 0
         for head, index in self.inx.items():
-            for tkey, tr, lev in index.entries():
-                tail, copy = tkey
+            for (tail, copy), lev in index.entries():
                 arc = (tail, head, copy)
-                if arc not in self.tr_of:
-                    raise InvariantViolation(f"stray in-index entry {arc}")
                 outset = self.out.get(tail)
                 if outset is None or (head, copy) not in outset:
-                    raise InvariantViolation(f"in-index entry {arc} has no arc")
-                position = outset.rank((head, copy))
-                expected = self._expected_filing(tail, position)
-                if (tr, lev) != expected or self.tr_of[arc] != tr:
+                    raise InvariantViolation(f"stray in-index entry {arc}")
+                expected = self._stored_lev(tail)
+                if lev != expected:
                     raise InvariantViolation(
-                        f"arc {arc} filed at {(tr, lev)}, expected {expected}"
+                        f"arc {arc} filed at level {lev}, expected {expected}"
                     )
                 filed += 1
         total_arcs = sum(len(o) for o in self.out.values())
@@ -579,18 +546,18 @@ class BalancedOrientation:
 
         Let T be the endpoints of the journaled arcs and L the vertices of
         T whose truncated level moved.  An arc's filing depends only on its
-        tail's out-set and truncated level, and its balance only on its
+        presence and its tail's truncated level, and its balance only on its
         endpoints' truncated levels, so if every invariant held before the
         batch, these checks cover every place one can now fail:
 
-        * v in T: ``level[v] == |out[v]|``, and filing and balance of v's
-          first H+1 out-arcs (rank shifts stop at rank H+1);
+        * v in T: ``level[v] == |out[v]|``;
         * v in L: filing and balance of all out-arcs, balance of all in-arcs;
-        * every journaled edge, in its current orientation: balance;
+        * every journaled edge, in its current orientation: filing and
+          balance;
         * the batch's ``arcs`` present after an insert, absent after a delete;
         * no leftover vertex labels.
 
-        O(|T| H + sum of |L|'s degrees) time; raises
+        O(journal length + sum of |L|'s degrees) time; raises
         :class:`InvariantViolation`.
         """
         if self.vertex_label:
@@ -613,35 +580,30 @@ class BalancedOrientation:
             size = len(outset) if outset is not None else 0
             if level.get(v, 0) != size:
                 raise InvariantViolation(f"level[{v}] = {level.get(v, 0)} != |out| = {size}")
-            if outset is not None:
-                self._check_out_arcs(v, outset, size if v in relevelled else H + 1)
+            if outset is not None and v in relevelled:
+                for head, copy in outset:
+                    self._check_arc(v, head, copy)
         for v in relevelled:
             index = self.inx.get(v)
             if index is not None:
-                for (tail, copy), _tr, _lev in index.entries():
+                for (tail, copy), _lev in index.entries():
                     self._check_balanced(tail, v, copy)
         for journal in (self.last_reversed, self.last_inserted, self.last_deleted):
             for u, v, copy in journal:
                 a, b = norm_edge(u, v)
                 tail = self.tail_of.get((a, b, copy))
                 if tail is not None:
-                    self._check_balanced(tail, b if tail == a else a, copy)
+                    self._check_arc(tail, b if tail == a else a, copy)
 
-    def _check_out_arcs(self, v: int, outset: OutSet, hi: int) -> None:
-        """Filing and balance of ``v``'s out-arcs at ranks 1..hi."""
-        lev = levkey(self.level.get(v, 0), self.H)
-        for position, (head, copy) in enumerate(outset.window(1, hi), 1):
-            tr = position if position <= self.H else self.H + 1
-            index = self.inx.get(head)
-            if (
-                self.tr_of.get((v, head, copy)) != tr
-                or index is None
-                or not index.has((v, copy), tr, lev)
-            ):
-                raise InvariantViolation(
-                    f"arc {(v, head, copy)} not filed at expected {(tr, lev)}"
-                )
-            self._check_balanced(v, head, copy)
+    def _check_arc(self, tail: int, head: int, copy: int) -> None:
+        """The arc is filed at its tail's truncated level, and balanced."""
+        lev = self._stored_lev(tail)
+        index = self.inx.get(head)
+        if index is None or not index.has((tail, copy), lev):
+            raise InvariantViolation(
+                f"arc {(tail, head, copy)} not filed at expected level {lev}"
+            )
+        self._check_balanced(tail, head, copy)
 
     def _check_balanced(self, tail: int, head: int, copy: int) -> None:
         lt, lh = self.level.get(tail, 0), self.level.get(head, 0)
@@ -649,11 +611,6 @@ class BalancedOrientation:
             raise InvariantViolation(
                 f"arc ({tail}->{head},{copy}): min(H,{lt}) > min(H,{lh}) + 1 (H={self.H})"
             )
-
-
-def tail_key(tail: int, copy: int) -> tuple[int, int]:
-    """How a tail is identified inside an in-index bucket."""
-    return (tail, copy)
 
 
 def _convergence(msg: str):

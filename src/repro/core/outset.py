@@ -71,9 +71,5 @@ class OutSet:
         """The first ``min(k, len)`` neighbours in rank order."""
         return self._keys[:k]
 
-    def window(self, lo: int, hi: int) -> list[Any]:
-        """Keys at 1-indexed positions ``lo..hi`` inclusive (clamped)."""
-        return self._keys[max(0, lo - 1): hi]
-
     def __iter__(self) -> Iterator[Any]:
         return iter(self._keys)

@@ -1,8 +1,8 @@
 """The token games (Sections 4.2.1 and 4.3.1).
 
 Friend-module of :class:`~repro.core.balanced.BalancedOrientation`: both
-games mutate the structure through its arc helpers, so every rank/label/
-level re-filing happens in one audited code path.
+games mutate the structure through its arc helpers, so every level
+re-filing happens in one audited code path.
 
 Token-dropping (insertions)
 ---------------------------
@@ -19,7 +19,8 @@ Token-pushing (deletions)
 Tokens are pending out-degree *decrements* on distinct vertices (the arcs
 are already gone).  Per phase, every occupied vertex gets the label
 ``2*[in S] + [occupied]``, which its out-arcs of rank <= H carry (the
-in-index reads it from the tail at probe time, so nothing is re-filed);
+in-index reads it, and each arc's rank, at probe time, so nothing is
+re-filed);
 then rank rounds ``i = 1..H`` move tokens up along in-arcs of exact rank
 ``i`` whose tail has label 0 and truncated level exactly one higher.
 Rounds in which no such arc exists are skipped and charged in bulk:
@@ -167,7 +168,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
             with _trace.span("game.push.ranks"):
                 inx_get = st.inx.get
                 level_get = st.level.get
-                labels = st.vertex_label
+                labels, out = st.vertex_label, st.out
                 # Every rank round probes each vertex of S still holding its
                 # token, one charged BST probe per branch with no mutations
                 # inside the region: probes*logn work at logn depth, charged
@@ -182,7 +183,9 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     for v in active:
                         index = inx_get(v)
                         if index is not None:
-                            found = index.next_rank(i, r - 1, level_get(v, 0) + 1, labels)
+                            found = index.next_rank(
+                                i, r - 1, level_get(v, 0) + 1, labels, out, v, H
+                            )
                             if found is not None:
                                 r = found
                     logn = st._logn()
@@ -197,7 +200,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                         index = inx_get(v)
                         if index is None:
                             continue
-                        wkey = index.any_at(r, level_get(v, 0) + 1, labels)
+                        wkey = index.any_at(r, level_get(v, 0) + 1, labels, out, v, H)
                         if wkey is not None:
                             sends.append((v, wkey))
                     st.cm.charge(work=len(active) * logn, depth=logn)
@@ -223,7 +226,8 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                             labeled.add(w)
                         moved = True
                     # the senders left the active set, and the flips and
-                    # labels changed buckets: recompute before the next search
+                    # labels changed what the probes see: recompute before
+                    # the next search
                     active = [v for v in S_sorted if v in token]
                     i = r + 1
 
@@ -239,7 +243,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     tindex = st.inx.get(v)
                     if tindex is None:
                         continue
-                    twkey = tindex.any_truncated(H + 1, H)
+                    twkey = tindex.any_truncated(H, st.out, v, H)
                     if twkey is not None:
                         sends.append((v, twkey))
                 if probes:

@@ -134,10 +134,34 @@ class TestCliErrorPaths:
                 "--configs", "serial", "--deep-every", "1"]
         assert main(argv) == 0
 
-    def test_malformed_trace_raises(self, tmp_path):
+    def test_malformed_trace_raises(self, tmp_path, capsys):
         from repro.cli import main
 
         trace = tmp_path / "bad.txt"
         trace.write_text("I 0\n")
-        with pytest.raises(BatchError):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"repro run: error: {trace}:1: odd number of endpoints\n"
+        )
+
+    # exit 1 from `profile --check` means "telemetry perturbed the cost
+    # model", so an unreadable trace must exit 2 with one line, every time
+    @pytest.mark.parametrize("argv", [["run"], ["exact"], ["profile", "--check"]],
+                             ids=["run", "exact", "profile-check"])
+    @pytest.mark.parametrize("body", ["I 0\n", "I 0 1\nD 1 2\n", None],
+                             ids=["odd-endpoints", "absent-delete", "missing"])
+    def test_bad_trace_is_a_usage_error(self, tmp_path, capsys, argv, body):
+        from repro.cli import main
+
+        trace = tmp_path / "t.txt"
+        if body is not None:
+            trace.write_text(body)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--trace", str(trace)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: error: ")

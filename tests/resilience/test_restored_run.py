@@ -6,8 +6,9 @@ the same query answers after every later batch *and* the same work,
 depth and counters charged by every later batch.  That holds only if the
 rebuilt orientation takes the same token-game trajectory as the original
 — the reason ``InIndex.any_at`` answers with the minimum unlabelled tail
-filed at a ``(tr, lev)`` key, a pick that depends on the bucket's
-contents and the labels, and not on the order it was filled in
+of the right truncated rank filed at a level, a pick that depends on the
+bucket's contents, the out-sets and the labels, and not on the order it
+was filled in
 (docs/ROBUSTNESS.md).  The hypothesis driver below generates
 arbitrary insert/delete streams (normalised so deletes only touch live
 edges, the structures' own precondition) and diffs an interrupted run
