@@ -338,9 +338,10 @@ def cmd_profile(args) -> int:
     enforced end to end.
     """
     if not BENCH_NAME.fullmatch(args.name):
-        raise SystemExit(
-            f"error: --name {args.name!r} is not a plain file stem "
-            "(letters, digits, '.', '_', '-'; no leading dot)"
+        _usage(
+            args,
+            f"--name {args.name!r} is not a plain file stem "
+            "(letters, digits, '.', '_', '-'; no leading dot)",
         )
     ops, n = _load_trace(args)
 

@@ -7,8 +7,8 @@ storing edges is not important" — Section 4.1); we order by neighbour id,
 which is stable and deterministic.
 
 The set lives in one contiguous sorted ``list`` slab per vertex, the
-layout the exemplar flat k-core engines use (SNIPPETS.md).  Rank/select
-are a binary search plus an index and insert/delete a ``memmove`` inside
+layout the exemplar flat k-core engines use (SNIPPETS.md).  Rank is a
+binary search plus an index and insert/delete a ``memmove`` inside
 one buffer, all C-speed in CPython.  For the out-degrees the ladder ever
 holds (``<= H + 1`` filed positions per vertex) the O(n) shift is far
 below the constant factor of pointer-chasing a per-edge tree.  The cost
@@ -60,16 +60,6 @@ class OutSet:
         if i >= len(keys) or keys[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
         return i + 1
-
-    def select(self, rank: int) -> Any:
-        """Neighbour at 1-indexed ``rank``."""
-        if not (1 <= rank <= len(self._keys)):
-            raise IndexError(f"select({rank}) on set of size {len(self._keys)}")
-        return self._keys[rank - 1]
-
-    def first(self, k: int) -> list[Any]:
-        """The first ``min(k, len)`` neighbours in rank order."""
-        return self._keys[:k]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._keys)

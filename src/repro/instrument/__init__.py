@@ -9,7 +9,9 @@
   and JSONL / Prometheus / fixed-width-report / BENCH-json sinks.
 * :mod:`.wallclock` / :mod:`.live` — the wall-clock observatory: the
   process-wide mockable Tracer clock, and the live terminal dashboard /
-  Prometheus HTTP endpoint (``repro run --live``).
+  Prometheus HTTP endpoint (``repro run --live``).  :mod:`.live` is not
+  re-exported here: it loads ``http.server``, so import it from
+  ``repro.instrument.live`` where it is used.
 """
 
 from .brent import BrentPoint, parallelism, project, saturation_processors
@@ -24,7 +26,6 @@ from .export import (
     validate_bench_payload,
     write_bench_json,
 )
-from .live import LiveDashboard, MetricsServer, serve_metrics
 from .metrics import (
     BatchRecord,
     BatchTimer,
@@ -56,9 +57,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JsonlSink",
-    "LiveDashboard",
     "MetricsRegistry",
-    "MetricsServer",
     "NullCostModel",
     "ParallelRegion",
     "REGISTRY",
@@ -82,7 +81,6 @@ __all__ = [
     "render_series",
     "render_table",
     "saturation_processors",
-    "serve_metrics",
     "span",
     "tracing",
     "validate_bench_payload",

@@ -6,9 +6,6 @@ from .primitives import (
     arbitrary_winners,
     pack,
     parallel_map,
-    reduce_max,
-    reduce_sum,
-    scan,
     semisort,
 )
 from .sorting import parallel_sort
@@ -21,8 +18,5 @@ __all__ = [
     "pack",
     "parallel_map",
     "parallel_sort",
-    "reduce_max",
-    "reduce_sum",
-    "scan",
     "semisort",
 ]

@@ -1,18 +1,16 @@
 """Classic PRAM primitives with work/depth accounting.
 
 These are the textbook building blocks [Ble96] the paper's algorithms lean
-on implicitly: prefix sums (scan), reduction, packing/filtering, winner
-selection among concurrent proposals (the CRCW "arbitrary write" used by
-the token games), and semisorting (grouping by key).  Each is implemented
-with numpy/dict machinery for real speed and *charged* its standard PRAM
-cost through the cost model.
+on implicitly: packing/filtering, winner selection among concurrent
+proposals (the CRCW "arbitrary write" used by the token games), semisorting
+(grouping by key) and elementwise maps.  Each is *charged* its standard
+PRAM cost through the cost model.
 
 Charged costs (CRCW PRAM):
 
 =============  ==================  ============
 primitive      work                depth
 =============  ==================  ============
-scan/reduce    O(n)                O(log n)
 pack           O(n)                O(log n)
 arbitrary_winners  O(n)            O(1)
 semisort       O(n)                O(log n)  (deterministic variant)
@@ -23,8 +21,6 @@ from __future__ import annotations
 
 import math
 from typing import Any, Callable, Hashable, Iterable, Optional, Sequence, TypeVar
-
-import numpy as np
 
 from ..instrument.work_depth import CostModel
 
@@ -38,29 +34,6 @@ def _log2ceil(n: int) -> int:
 def _charge_linear_log(cm: Optional[CostModel], n: int) -> None:
     if cm is not None and n:
         cm.charge(work=n, depth=_log2ceil(n))
-
-
-def scan(values: Sequence[float], cm: Optional[CostModel] = None) -> list[float]:
-    """Exclusive prefix sum: ``out[i] = sum(values[:i])``."""
-    arr = np.asarray(values, dtype=float)
-    _charge_linear_log(cm, len(arr))
-    out = np.empty_like(arr)
-    if len(arr):
-        out[0] = 0.0
-        np.cumsum(arr[:-1], out=out[1:])
-    return out.tolist()
-
-
-def reduce_sum(values: Sequence[float], cm: Optional[CostModel] = None) -> float:
-    """Parallel sum reduction."""
-    _charge_linear_log(cm, len(values))
-    return float(np.sum(np.asarray(values, dtype=float))) if len(values) else 0.0
-
-
-def reduce_max(values: Sequence[float], cm: Optional[CostModel] = None) -> float:
-    """Parallel max reduction (empty input -> ``-inf``)."""
-    _charge_linear_log(cm, len(values))
-    return float(np.max(np.asarray(values, dtype=float))) if len(values) else float("-inf")
 
 
 def pack(items: Sequence[T], flags: Sequence[bool], cm: Optional[CostModel] = None) -> list[T]:

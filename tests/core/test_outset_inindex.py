@@ -19,29 +19,6 @@ class TestOutSet:
         assert s.rank((2, 0)) == 1
         assert s.rank((5, 0)) == 2
 
-    def test_select_inverse_of_rank(self):
-        s = OutSet()
-        for key in [(9, 0), (1, 1), (1, 0), (4, 2)]:
-            s.add(key)
-        for pos in range(1, 5):
-            assert s.rank(s.select(pos)) == pos
-
-    def test_select_out_of_range_names_the_rank_passed(self):
-        s = OutSet()
-        for h in (1, 2, 3):
-            s.add((h, 0))
-        with pytest.raises(IndexError, match=r"select\(4\) on set of size 3"):
-            s.select(4)
-        with pytest.raises(IndexError, match=r"select\(0\) on set of size 3"):
-            s.select(0)
-
-    def test_first(self):
-        s = OutSet()
-        for h in (30, 10, 20):
-            s.add((h, 0))
-        assert s.first(2) == [(10, 0), (20, 0)]
-        assert s.first(99) == [(10, 0), (20, 0), (30, 0)]
-
     def test_add_duplicate_raises(self):
         s = OutSet()
         s.add((1, 0))

@@ -84,9 +84,12 @@ class TestProfile:
                     "--name", "../../x", "--bench-out", str(tmp_path / "d"),
                 ]
             )
-        message = str(exc.value.code)
-        assert "--name '../../x' is not a plain file stem" in message
-        assert "\n" not in message
+        assert exc.value.code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "repro profile: error: --name '../../x' is not a plain file stem"
+        )
         assert not (tmp_path / "d").exists()
 
     def test_telemetry_jsonl(self, trace_path, tmp_path):

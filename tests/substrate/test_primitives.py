@@ -1,4 +1,4 @@
-"""Tests for the PRAM primitives (scan, reduce, pack, winners, semisort)."""
+"""Tests for the PRAM primitives (pack, winners, semisort, sort, map)."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,38 +10,8 @@ from repro.pram import (
     pack,
     parallel_map,
     parallel_sort,
-    reduce_max,
-    reduce_sum,
-    scan,
     semisort,
 )
-
-
-class TestScan:
-    def test_exclusive_prefix_sum(self):
-        assert scan([1, 2, 3, 4]) == [0, 1, 3, 6]
-
-    def test_empty(self):
-        assert scan([]) == []
-
-    def test_single(self):
-        assert scan([7]) == [0]
-
-    def test_charges_linear_work_log_depth(self):
-        cm = CostModel()
-        scan(list(range(128)), cm)
-        assert cm.work == 128
-        assert cm.depth == 7
-
-
-class TestReduce:
-    def test_sum(self):
-        assert reduce_sum([1.5, 2.5]) == 4.0
-        assert reduce_sum([]) == 0.0
-
-    def test_max(self):
-        assert reduce_max([3, 9, 1]) == 9
-        assert reduce_max([]) == float("-inf")
 
 
 class TestPack:
@@ -99,16 +69,6 @@ class TestSortAndMap:
         cm = CostModel()
         assert parallel_map([1, 2], lambda x: x * 10, cm) == [10, 20]
         assert cm.depth == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(-1000, 1000)))
-def test_hypothesis_scan_matches_cumsum(xs):
-    out = scan(xs)
-    acc = 0
-    for i, x in enumerate(xs):
-        assert out[i] == acc
-        acc += x
 
 
 @settings(max_examples=50, deadline=None)
