@@ -121,9 +121,6 @@ class ExplicitColoring:
             self._recolor(v)
         return self.color[v]
 
-    def num_colors_used(self) -> int:
-        return len({self.color_of(v) for v in self.color} | set())
-
     def check_proper(self, edges: Iterable[tuple[int, int]]) -> None:
         from ..errors import InvariantViolation
 

@@ -51,9 +51,6 @@ class MaximalMatching:
 
     # -- queries -------------------------------------------------------------
 
-    def is_matched(self, v: int) -> bool:
-        return v in self.mate
-
     def matching(self) -> set[tuple[int, int]]:
         return {norm_edge(u, v) for u, v in self.mate.items() if u < v}
 

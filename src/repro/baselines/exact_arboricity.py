@@ -59,27 +59,6 @@ class _Forest:
                     q.append(w)
         return None
 
-    def creates_cycle(self, e: Edge) -> bool:
-        return self.path(e[0], e[1]) is not None
-
-    def is_acyclic(self) -> bool:
-        seen: set[int] = set()
-        for root in self.adj:
-            if root in seen:
-                continue
-            parent: dict[int, int] = {root: root}
-            seen.add(root)
-            q = deque([root])
-            while q:
-                u = q.popleft()
-                for w in self.adj.get(u, ()):
-                    if w not in parent:
-                        parent[w] = u
-                        seen.add(w)
-                        q.append(w)
-                    elif w != parent[u]:
-                        return False
-        return True
 
 
 def can_partition_into_forests(g: DynamicGraph, k: int) -> Optional[list[set[Edge]]]:

@@ -102,11 +102,3 @@ def max_coreness(g: DynamicGraph) -> int:
     """The degeneracy of ``g`` — equivalently its maximum coreness."""
     return degeneracy(g)
 
-
-def verify_against_networkx(g: DynamicGraph) -> bool:
-    """Cross-check :func:`core_numbers` against networkx (test helper)."""
-    import networkx as nx
-
-    ours = core_numbers(g)
-    theirs = nx.core_number(g.to_networkx())
-    return all(ours.get(v, 0) == theirs.get(v, 0) for v in range(g.n))

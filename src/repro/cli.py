@@ -5,7 +5,8 @@ Core subcommands::
     repro generate --family planted --n 60 --m 200 --pattern churn \\
                    --batch-size 16 --out trace.txt
     repro run      --trace trace.txt --mode both --eps 0.35
-    repro profile  --trace trace.txt --bench-out . --name smoke --check
+    repro run      --trace trace.txt --phase-tree --bench-out . --name smoke \\
+                   --check
     repro exact    --trace trace.txt
     repro verify   --n 40 --batches 200 --batch-size 3 --deep-every 50
     repro verify   --scenario all --scale ci --structure balanced \\
@@ -20,9 +21,10 @@ Core subcommands::
 or spills a catalog scenario's stream out-of-core with ``--scenario``;
 ``run`` replays it through the batch-dynamic structures and reports the
 maintained estimates plus work/depth metrics (``--telemetry`` streams a
-JSONL span/event log, ``--progress K`` logs every K-th batch); ``profile``
-replays with phase-scoped telemetry armed and prints the phase tree
-(docs/OBSERVABILITY.md), optionally writing ``BENCH_<name>.json``;
+JSONL span/event log, ``--progress K`` logs every K-th batch,
+``--phase-tree`` prints the phase tree (docs/OBSERVABILITY.md),
+``--bench-out`` writes ``BENCH_<name>.json`` and ``--check`` re-replays
+disarmed to prove telemetry left the cost model bit-identical);
 ``exact`` replays it into a plain graph and reports the exact measures
 for comparison; ``verify`` is the one verdict command — one stream
 (a trace, a catalog scenario or a generated churn) through the
@@ -37,7 +39,8 @@ WAL-before-apply durability and epoch-snapshot queries
 
 ``run`` streams its trace through the bounded-memory
 :func:`~repro.graphs.tracefile.iter_trace` reader (one upfront
-:func:`~repro.graphs.tracefile.scan_trace` validation pass), so replaying
+:func:`~repro.graphs.tracefile.scan_trace` validation pass, one
+``iter_trace`` drain per replay), so replaying
 a multi-million-edge trace holds only the live structures in memory —
 never the op list.
 """
@@ -85,13 +88,10 @@ def _make_edges(args) -> tuple[int, list]:
     if args.family == "ba":
         attach = max(1, args.m // max(1, args.n))
         return generators.barabasi_albert(args.n, attach, seed=args.seed)
-    if args.family == "planted":
-        block = max(4, args.n // 4)
-        n, edges = generators.planted_dense(
-            args.n, block=block, p_in=0.9, out_edges=args.m // 2, seed=args.seed
-        )
-        return n, edges
-    raise SystemExit(f"unknown family {args.family!r}")
+    block = max(4, args.n // 4)  # planted
+    return generators.planted_dense(
+        args.n, block=block, p_in=0.9, out_edges=args.m // 2, seed=args.seed
+    )
 
 
 def cmd_generate(args) -> int:
@@ -124,10 +124,8 @@ def cmd_generate(args) -> int:
             ops = streams.insert_only(edges, args.batch_size)
         elif args.pattern == "window":
             ops = streams.sliding_window(edges, window=4, batch_size=args.batch_size)
-        elif args.pattern == "insert-delete":
+        else:  # insert-delete
             ops = streams.insert_then_delete(edges, args.batch_size, seed=args.seed)
-        else:
-            raise SystemExit(f"unknown pattern {args.pattern!r}")
     validate_trace(ops)
     count = write_trace(ops, args.out)
     print(f"wrote {count} batches ({sum(op.size for op in ops)} edge updates) to {args.out}")
@@ -144,21 +142,12 @@ def _build_structures(args, n: int, cm: CostModel) -> list[tuple[str, object]]:
         structures.append(
             ("density", DensityEstimator(n, eps=args.eps, cm=cm, constants=CONSTANTS))
         )
-    if not structures:
-        raise SystemExit(f"unknown mode {args.mode!r}")
     return structures
 
 
-def _replay(
-    ops, structures, timer: BatchTimer, progress: int = 0, total: Optional[int] = None
-) -> None:
-    """Drive every batch through every structure (phase-span instrumented).
-
-    ``ops`` may be any iterable — including a lazy
-    :func:`~repro.graphs.tracefile.iter_trace` generator — so pass
-    ``total`` (the known batch count) when progress events should report
-    it without forcing materialisation.
-    """
+def _replay(ops, structures, timer: BatchTimer, progress: int = 0, total: int = 0) -> None:
+    """Drive every batch through every structure (phase-span instrumented);
+    every ``progress``-th batch emits a ``progress`` event out of ``total``."""
     for i, op in enumerate(ops):
         with _trace.span("batch", detail={"index": i, "kind": op.kind, "edges": op.size}):
             with timer.batch(op.kind, op.size):
@@ -172,25 +161,20 @@ def _replay(
             _trace.event(
                 "progress",
                 batch=i + 1,
-                batches=total if total is not None else len(ops),
+                batches=total,
                 work=timer.cm.work,
                 depth=timer.cm.depth,
             )
 
 
-def _progress_sink(stream=None):
-    """A tracer sink printing ``progress`` events to ``stream`` (stderr)."""
-    stream = stream if stream is not None else sys.stderr
-
-    def sink(ev: dict) -> None:
-        if ev.get("type") == "event" and ev.get("name") == "progress":
-            print(
-                f"[progress] batch {ev['batch']}/{ev['batches']}"
-                f"  work={ev['work']}  depth={ev['depth']}",
-                file=stream,
-            )
-
-    return sink
+def _progress_sink(ev: dict) -> None:
+    """A tracer sink printing ``progress`` events to stderr."""
+    if ev.get("type") == "event" and ev.get("name") == "progress":
+        print(
+            f"[progress] batch {ev['batch']}/{ev['batches']}"
+            f"  work={ev['work']}  depth={ev['depth']}",
+            file=sys.stderr,
+        )
 
 
 def _serve_metrics_or_die(registry, port: int):
@@ -212,85 +196,40 @@ def _serve_metrics_or_die(registry, port: int):
     return server
 
 
-def cmd_run(args) -> int:
-    """Replay a trace through the maintained structures; print metrics.
-
-    Out-of-core: one :func:`scan_trace` pass validates the file and sizes
-    the vertex universe, then the replay itself drains a lazy
-    :func:`iter_trace` generator — the op list never materialises.
-
-    ``--live`` attaches the terminal dashboard (progress, throughput,
-    ETA, hottest spans — docs/OBSERVABILITY.md) as an extra tracer sink;
-    ``--serve-metrics PORT`` additionally exposes the metrics registry as
-    Prometheus text on ``http://127.0.0.1:PORT/metrics`` (``PORT 0`` binds
-    an ephemeral port, printed to stderr).  The server used to vanish the
-    instant the replay finished — too fast for any scraper on short runs —
-    so ``--metrics-linger SECONDS`` now keeps it up after the summary
-    prints.  Neither touches the cost model.
-    """
-    try:
-        info = scan_trace(args.trace)
-    except (OSError, ReproError) as exc:
-        _usage(args, str(exc))
-    n = max(info.vertices, 2)
-    cm = CostModel()
-    REGISTRY.clear()
-    timer = BatchTimer(cm, registry=REGISTRY)
-    live = bool(getattr(args, "live", False))
-    serve_port = getattr(args, "serve_metrics", None)
-    linger = max(0.0, getattr(args, "metrics_linger", 0.0) or 0.0)
+def _traced_replay(args, batches: int, structures, timer: BatchTimer) -> Optional[Tracer]:
+    """Replay ``--trace`` once, with the tracer armed iff a flag reads it
+    (returned, else None)."""
+    armed = (args.telemetry, args.progress, args.live, args.bench_out, args.check)
+    if args.phase_tree is None and not any(armed):
+        _replay(iter_trace(args.trace), structures, timer)
+        return None
+    sinks: list = []
+    jsonl = JsonlSink(args.telemetry) if args.telemetry else None
+    if jsonl is not None:
+        sinks.append(jsonl)
+    if args.progress:
+        sinks.append(_progress_sink)
     dashboard = None
-    server = None
+    if args.live:
+        from .instrument.live import LiveDashboard
+
+        dashboard = LiveDashboard(REGISTRY, sys.stderr, total_batches=batches)
+        sinks.append(dashboard)
+    tracer = Tracer(timer.cm, sinks=sinks, registry=REGISTRY if args.live else None)
     try:
-        if serve_port is not None:
-            server = _serve_metrics_or_die(REGISTRY, serve_port)
-        structures = _build_structures(args, n, cm)
-
-        progress = getattr(args, "progress", 0)
-        telemetry = getattr(args, "telemetry", None)
-        jsonl = None
-        if telemetry or progress or live:
-            sinks: list = []
-            if telemetry:
-                jsonl = JsonlSink(telemetry)
-                sinks.append(jsonl)
-            if progress:
-                sinks.append(_progress_sink())
-            if live:
-                from .instrument.live import LiveDashboard
-
-                dashboard = LiveDashboard(
-                    REGISTRY, sys.stderr, total_batches=info.batches
-                )
-                sinks.append(dashboard)
-            tracer = Tracer(cm, sinks=sinks, registry=REGISTRY if live else None)
-            try:
-                with _trace.tracing(tracer):
-                    _replay(
-                        iter_trace(args.trace),
-                        structures,
-                        timer,
-                        progress=progress,
-                        total=info.batches,
-                    )
-            finally:
-                if jsonl is not None:
-                    jsonl.close()
-            if telemetry:
-                print(f"wrote {jsonl.events_written} telemetry events to {telemetry}")
-        else:
-            _replay(iter_trace(args.trace), structures, timer)
+        with _trace.tracing(tracer):
+            _replay(iter_trace(args.trace), structures, timer, args.progress, batches)
     finally:
+        if jsonl is not None:
+            jsonl.close()
         if dashboard is not None:
             dashboard.close()
-        # on the happy path with --metrics-linger the server outlives the
-        # replay (the satellite fix: short runs were un-scrape-able); an
-        # exception still tears it down here.
-        if server is not None and (not linger or sys.exc_info()[0] is not None):
-            server.close()
-            server = None
+    if jsonl is not None:
+        print(f"wrote {jsonl.events_written} telemetry events to {args.telemetry}")
+    return tracer
 
-    series = timer.series
+
+def _summary(structures, series, top: int) -> str:
     rows = [
         ("batches", len(series.records)),
         ("edge updates", series.total_edges()),
@@ -301,83 +240,51 @@ def cmd_run(args) -> int:
     for name, st in structures:
         if name == "coreness":
             ests = st.estimates()
-            top = sorted(ests.items(), key=lambda kv: -kv[1])[: args.top]
+            ranked = sorted(ests.items(), key=lambda kv: -kv[1])[:top]
             rows.append(("max core_alg", f"{st.max_estimate():.1f}"))
             rows.append(
-                ("top vertices", " ".join(f"{v}:{e:.0f}" for v, e in top))
+                ("top vertices", " ".join(f"{v}:{e:.0f}" for v, e in ranked))
             )
         else:
             rows.append(("rho_alg", f"{st.density_estimate():.2f}"))
             rows.append(("lambda_alg", f"{st.arboricity_estimate():.2f}"))
             rows.append(("orientation max d+", st.max_outdegree()))
-    print(render_table(["metric", "value"], rows))
-    if server is not None:
-        # announce only once inside the guarded region: a ctrl-C sent the
-        # moment the line appears must release the server, not kill us.
-        try:
-            print(
-                f"metrics stay up on {server.url} for {linger:.0f}s more "
-                "(ctrl-C to release early)",
-                file=sys.stderr,
-            )
-            threading.Event().wait(linger)
-        except KeyboardInterrupt:
-            pass
-        server.close()
-    return 0
+    return render_table(["metric", "value"], rows)
 
 
-def cmd_profile(args) -> int:
-    """Replay a trace with telemetry armed; print the phase tree.
-
-    ``--bench-out DIR`` writes the machine-readable ``BENCH_<name>.json``
-    perf summary; ``--prom PATH`` dumps the metrics registry in Prometheus
-    text exposition; ``--check`` replays a
-    second time *disarmed* and fails if work, depth, or any counter
-    differs — the tracing-never-perturbs-the-cost-model guarantee,
-    enforced end to end.
-    """
-    if not BENCH_NAME.fullmatch(args.name):
-        _usage(
-            args,
-            f"--name {args.name!r} is not a plain file stem "
-            "(letters, digits, '.', '_', '-'; no leading dot)",
-        )
-    ops, n = _load_trace(args)
-
-    def measure(armed: bool):
-        cm = CostModel()
-        REGISTRY.clear()
-        timer = BatchTimer(cm, registry=REGISTRY)
-        structures = _build_structures(args, n, cm)
-        if not armed:
-            _replay(ops, structures, timer)
-            return cm, timer, None
-        jsonl = JsonlSink(args.telemetry) if args.telemetry else None
-        tracer = Tracer(cm, sinks=[jsonl] if jsonl else [])
-        try:
-            with _trace.tracing(tracer):
-                _replay(ops, structures, timer)
-        finally:
-            if jsonl is not None:
-                jsonl.close()
-        return cm, timer, tracer
-
-    cm, timer, tracer = measure(armed=True)
-    root = tracer.root
-    if root.work != cm.work or root.total_self_work() != root.work:
+def _report(args, n: int, structures, timer: BatchTimer, tracer: Optional[Tracer]) -> int:
+    """Everything ``run`` prints and writes after its replay; the exit code."""
+    cm = timer.cm
+    root = tracer.root if tracer is not None else None
+    if root is not None and (root.work != cm.work or root.total_self_work() != root.work):
         print(
             f"phase-tree accounting broken: root={root.work} "
             f"self-sum={root.total_self_work()} cost-model={cm.work}",
             file=sys.stderr,
         )
         return 1
-    print(render_phase_tree(root, min_share=args.min_share))
-    print(
-        f"\nphase-tree work {root.work} == cost-model work {cm.work} (exact); "
-        f"depth {cm.depth}"
-    )
+    if args.phase_tree is not None:
+        print(render_phase_tree(root, min_share=args.phase_tree))
+        print(
+            f"\nphase-tree work {root.work} == cost-model work {cm.work} (exact); "
+            f"depth {cm.depth}"
+        )
+    if args.check:
+        from .verify import cost_view
 
+        # disarmed and registry-less: the --prom dump below and the metrics
+        # server keep the armed pass's numbers
+        cm2 = CostModel()
+        _replay(iter_trace(args.trace), _build_structures(args, n, cm2), BatchTimer(cm2))
+        if cost_view(cm) != cost_view(cm2):
+            print(
+                "check FAILED: telemetry perturbed the cost model\n"
+                f"  armed:    work={cm.work} depth={cm.depth}\n"
+                f"  disarmed: work={cm2.work} depth={cm2.depth}",
+                file=sys.stderr,
+            )
+            return 1
+        print("check: armed and disarmed replays are bit-identical")
     if args.prom:
         with open(args.prom, "w", encoding="utf-8") as fh:
             fh.write(prometheus_text(REGISTRY))
@@ -389,23 +296,72 @@ def cmd_profile(args) -> int:
             tree=root,
             extra={"trace": args.trace, "mode": args.mode, "eps": args.eps},
         )
-        path = write_bench_json(args.bench_out, payload)
-        print(f"wrote {path}")
-
-    if args.check:
-        from .verify import cost_view
-
-        cm2, _timer2, _ = measure(armed=False)
-        if cost_view(cm) != cost_view(cm2):
-            print(
-                "check FAILED: telemetry perturbed the cost model\n"
-                f"  armed:    work={cm.work} depth={cm.depth}\n"
-                f"  disarmed: work={cm2.work} depth={cm2.depth}",
-                file=sys.stderr,
-            )
-            return 1
-        print("check: armed and disarmed replays are bit-identical")
+        print(f"wrote {write_bench_json(args.bench_out, payload)}")
+    # last: the estimate queries charge the cost model the checks above read
+    print(_summary(structures, timer.series, args.top))
     return 0
+
+
+def cmd_run(args) -> int:
+    """Replay a trace through the maintained structures; print metrics.
+
+    Out-of-core: one :func:`scan_trace` pass validates the file and sizes
+    the vertex universe, then every replay drains a lazy
+    :func:`iter_trace` generator — the op list never materialises.
+
+    The tracer arms (docs/OBSERVABILITY.md) when a flag reads it:
+    ``--telemetry`` (JSONL span/event log), ``--progress K``, ``--live``
+    (terminal dashboard), ``--phase-tree [MIN_SHARE]`` (print the phase
+    tree, rows below MIN_SHARE pruned), ``--bench-out DIR`` (write
+    ``BENCH_<name>.json``) or ``--check``.  An armed replay must account
+    for every unit of work (root == cost model == sum of self work), else
+    exit 1.  ``--check`` then replays a second time *disarmed*, before any
+    artifact is written, and exits 1 if work, depth or any counter
+    differs — tracing never perturbs the cost model, enforced end to end.
+    ``--prom PATH`` dumps the metrics registry as Prometheus text;
+    ``--serve-metrics PORT`` exposes it on
+    ``http://127.0.0.1:PORT/metrics`` (``PORT 0`` binds an ephemeral
+    port, printed to stderr), and ``--metrics-linger SECONDS`` keeps that
+    server up after the summary prints so scrapers of short runs can
+    still reach it.  Bad input exits 2 before any replay.
+    """
+    if not BENCH_NAME.fullmatch(args.name):
+        _usage(
+            args,
+            f"--name {args.name!r} is not a plain file stem "
+            "(letters, digits, '.', '_', '-'; no leading dot)",
+        )
+    try:
+        info = scan_trace(args.trace)
+    except (OSError, ReproError) as exc:
+        _usage(args, str(exc))
+    n = max(info.vertices, 2)
+    cm = CostModel()
+    REGISTRY.clear()
+    timer = BatchTimer(cm, registry=REGISTRY)
+    structures = _build_structures(args, n, cm)
+    server = None
+    try:
+        if args.serve_metrics is not None:
+            server = _serve_metrics_or_die(REGISTRY, args.serve_metrics)
+        tracer = _traced_replay(args, info.batches, structures, timer)
+        code = _report(args, n, structures, timer, tracer)
+        if server is not None and args.metrics_linger > 0:
+            # announce inside the guarded region: a ctrl-C sent the moment
+            # the line appears must release the server, not kill us.
+            try:
+                print(
+                    f"metrics stay up on {server.url} for "
+                    f"{args.metrics_linger:.0f}s more (ctrl-C to release early)",
+                    file=sys.stderr,
+                )
+                threading.Event().wait(args.metrics_linger)
+            except KeyboardInterrupt:
+                pass
+    finally:
+        if server is not None:
+            server.close()
+    return code
 
 
 def cmd_exact(args) -> int:
@@ -745,15 +701,28 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="replay a trace through the dynamic structures")
     r.add_argument("--trace", required=True)
     r.add_argument("--mode", default="both", choices=["coreness", "density", "both"])
-    r.add_argument("--eps", type=float, default=0.35)
-    r.add_argument("--top", type=int, default=5)
+    r.add_argument("--eps", type=_arg(lambda text: check_eps(float(text))), default=0.35)
+    r.add_argument("--top", type=_arg(_count), default=5,
+                   help="coreness vertices listed in the summary")
     r.add_argument("--telemetry", metavar="PATH",
                    help="write a JSONL span/event log to PATH")
-    r.add_argument("--progress", type=int, default=0, metavar="K",
+    r.add_argument("--progress", type=_arg(_count), default=0, metavar="K",
                    help="log every K-th batch via the telemetry event sink")
     r.add_argument("--live", action="store_true",
                    help="stream a live status line (progress, throughput, "
                         "ETA, hottest spans) to stderr")
+    r.add_argument("--phase-tree", type=float, nargs="?", const=0.01,
+                   metavar="MIN_SHARE",
+                   help="print the phase tree, pruning rows below MIN_SHARE "
+                        "of the work (default 0.01)")
+    r.add_argument("--name", default="profile",
+                   help="BENCH payload name (file becomes BENCH_<name>.json)")
+    r.add_argument("--bench-out", metavar="DIR",
+                   help="write BENCH_<name>.json under DIR")
+    r.add_argument("--prom", metavar="PATH",
+                   help="dump the metrics registry as Prometheus text")
+    r.add_argument("--check", action="store_true",
+                   help="replay disarmed too; exit 1 on any work/depth/counter drift")
     r.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
                    help="expose the metrics registry as Prometheus text on "
                         "http://127.0.0.1:PORT/metrics for the run "
@@ -762,26 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep the --serve-metrics server up SEC seconds "
                         "after the replay so scrapers can still reach it")
     r.set_defaults(func=cmd_run)
-
-    p = sub.add_parser(
-        "profile", help="replay a trace with phase-scoped telemetry armed"
-    )
-    p.add_argument("--trace", required=True)
-    p.add_argument("--mode", default="both", choices=["coreness", "density", "both"])
-    p.add_argument("--eps", type=float, default=0.35)
-    p.add_argument("--min-share", type=float, default=0.01,
-                   help="prune phase-tree rows below this work share")
-    p.add_argument("--name", default="profile",
-                   help="BENCH payload name (file becomes BENCH_<name>.json)")
-    p.add_argument("--bench-out", metavar="DIR",
-                   help="write BENCH_<name>.json under DIR")
-    p.add_argument("--telemetry", metavar="PATH",
-                   help="write a JSONL span/event log to PATH")
-    p.add_argument("--prom", metavar="PATH",
-                   help="dump the metrics registry as Prometheus text")
-    p.add_argument("--check", action="store_true",
-                   help="replay disarmed too; fail on any work/depth/counter drift")
-    p.set_defaults(func=cmd_profile)
 
     e = sub.add_parser("exact", help="exact offline measures of a trace's final graph")
     e.add_argument("--trace", required=True)

@@ -172,10 +172,6 @@ class BalancedOrientation:
         unit = (self.H + 2) * self._logn()
         self.cm.charge(work=unit, depth=unit)
 
-    def _charge_lookup(self) -> None:
-        unit = self._logn()
-        self.cm.charge(work=unit, depth=unit)
-
     def _refile(self, tail: int, lo: int, hi: int) -> None:
         """Charge the paper's re-file of ``tail``'s arcs at positions
         ``lo..hi`` (clamped) after a rank shift.

@@ -76,9 +76,6 @@ class DuplicatedBalanced:
     def fractional_outdegree(self, v: int) -> float:
         return self.inner.outdegree(v) / self.K
 
-    def max_fractional_outdegree(self) -> float:
-        return self.inner.max_outdegree() / self.K
-
     def has_edge(self, u: int, v: int) -> bool:
         return self.inner.has_edge(u, v, 0)
 

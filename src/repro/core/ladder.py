@@ -19,7 +19,7 @@ both ladder classes mix in:
   touched).
 
 Cost-model semantics are frozen: work/depth/counters are bit-identical
-to the pre-sharding inline loops (``repro profile --check`` holds).
+to the pre-sharding inline loops (``repro run --check`` holds).
 """
 
 from __future__ import annotations

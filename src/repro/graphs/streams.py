@@ -136,17 +136,6 @@ def sawtooth_clique(
     return ops
 
 
-def flip_flop(edges: Sequence[Edge], repeats: int) -> list[BatchOp]:
-    """Insert and delete the same batch repeatedly — a degenerate stress
-    pattern that catches stale-state bugs in dynamic structures."""
-    ops: list[BatchOp] = []
-    chunk = tuple(edges)
-    for _ in range(repeats):
-        ops.append(BatchOp("insert", chunk))
-        ops.append(BatchOp("delete", chunk))
-    return ops
-
-
 def density_ramp(
     n: int, block: int, levels: int, per_level: int, seed: int | random.Random = 0
 ) -> list[BatchOp]:

@@ -431,10 +431,6 @@ class MetricsRegistry:
         """Every registered instrument, sorted by (name, labels)."""
         return [self._metrics[k] for k in sorted(self._metrics)]
 
-    def kind_of(self, name: str) -> Optional[str]:
-        """The registered kind of ``name`` (None if never used)."""
-        return self._kinds.get(name)
-
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able dump: name -> list of {labels, kind, value...}."""
         out: dict[str, Any] = {}

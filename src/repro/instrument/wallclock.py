@@ -9,7 +9,7 @@ replay-deterministic harnesses can freeze time without monkeypatching
 
 Nothing here ever touches a :class:`~repro.instrument.work_depth.
 CostModel`: wall-clock observability must not perturb the answer-bearing
-accounting (``repro profile --check`` stays green with all of this
+accounting (``repro run --check`` stays green with all of this
 armed).
 """
 

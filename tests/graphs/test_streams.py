@@ -83,11 +83,6 @@ class TestAdversarial:
         assert len(big_inserts) == 3
         assert big_inserts[0].size == 15
 
-    def test_flip_flop(self):
-        _, edges = gen.path(6)
-        g = replayable(streams.flip_flop(edges, 4))
-        assert g.m == 0
-
     def test_density_ramp_monotone(self):
         ops = streams.density_ramp(40, block=10, levels=4, per_level=8, seed=5)
         assert all(op.kind == "insert" for op in ops)

@@ -146,10 +146,10 @@ class TestCliErrorPaths:
             f"repro run: error: {trace}:1: odd number of endpoints\n"
         )
 
-    # exit 1 from `profile --check` means "telemetry perturbed the cost
+    # exit 1 from `run --check` means "telemetry perturbed the cost
     # model", so an unreadable trace must exit 2 with one line, every time
-    @pytest.mark.parametrize("argv", [["run"], ["exact"], ["profile", "--check"]],
-                             ids=["run", "exact", "profile-check"])
+    @pytest.mark.parametrize("argv", [["run"], ["exact"], ["run", "--check"]],
+                             ids=["run", "exact", "check"])
     @pytest.mark.parametrize("body", ["I 0\n", "I 0 1\nD 1 2\n", None],
                              ids=["odd-endpoints", "absent-delete", "missing"])
     def test_bad_trace_is_a_usage_error(self, tmp_path, capsys, argv, body):
@@ -165,3 +165,22 @@ class TestCliErrorPaths:
         assert captured.out == ""
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"repro {argv[0]}: error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "0"],
+        ["--eps", "1"],
+        ["--top", "-1", "--check"],
+        ["--progress", "-1", "--check"],
+    ], ids=["eps-0", "eps-1", "top-negative", "progress-negative"])
+    def test_bad_run_value_is_a_usage_error(self, tmp_path, capsys, flags):
+        from repro.cli import main
+
+        trace = tmp_path / "t.txt"
+        trace.write_text("I 0 1 1 2\nD 0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--trace", str(trace), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].startswith("repro run: error: ")

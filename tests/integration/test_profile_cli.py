@@ -1,4 +1,5 @@
-"""`repro profile` and the telemetry flags of `repro run`, end to end."""
+"""`repro run`'s profiling flags (`--phase-tree`, `--bench-out`, `--prom`,
+`--check`) and its telemetry flags, end to end."""
 
 import json
 import re
@@ -30,7 +31,7 @@ def trace_path(tmp_path_factory):
 class TestProfile:
     def test_phase_tree_sums_to_cost_model_total(self, trace_path, capsys):
         rc = main(
-            ["profile", "--trace", str(trace_path), "--mode", "coreness"]
+            ["run", "--trace", str(trace_path), "--mode", "coreness", "--phase-tree"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -45,7 +46,7 @@ class TestProfile:
     def test_check_passes_bit_identity(self, trace_path, capsys):
         rc = main(
             [
-                "profile", "--trace", str(trace_path), "--mode", "coreness",
+                "run", "--trace", str(trace_path), "--mode", "coreness",
                 "--check",
             ]
         )
@@ -56,12 +57,13 @@ class TestProfile:
         prom = tmp_path / "metrics.prom"
         rc = main(
             [
-                "profile", "--trace", str(trace_path), "--mode", "both",
+                "run", "--trace", str(trace_path), "--mode", "both",
                 "--name", "smoke", "--bench-out", str(tmp_path),
-                "--prom", str(prom),
+                "--prom", str(prom), "--check",
             ]
         )
         assert rc == 0
+        assert "bit-identical" in capsys.readouterr().out
         payload = json.loads((tmp_path / "BENCH_smoke.json").read_text())
         assert validate_bench_payload(payload) == []
         assert payload["name"] == "smoke"
@@ -71,6 +73,7 @@ class TestProfile:
         total = shares["run"]["work"]
         assert total == payload["total_work"]
         assert sum(s["self_work"] for s in shares.values()) == total
+        # the disarmed --check replay must not overwrite the armed numbers
         samples = parse_prometheus(prom.read_text())
         assert samples[("repro_work_total", ())] == payload["total_work"]
 
@@ -80,7 +83,7 @@ class TestProfile:
         with pytest.raises(SystemExit) as exc:
             main(
                 [
-                    "profile", "--trace", str(tmp_path / "missing.txt"),
+                    "run", "--trace", str(tmp_path / "missing.txt"),
                     "--name", "../../x", "--bench-out", str(tmp_path / "d"),
                 ]
             )
@@ -88,7 +91,7 @@ class TestProfile:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1
         assert errors[0].startswith(
-            "repro profile: error: --name '../../x' is not a plain file stem"
+            "repro run: error: --name '../../x' is not a plain file stem"
         )
         assert not (tmp_path / "d").exists()
 
@@ -96,8 +99,8 @@ class TestProfile:
         log = tmp_path / "events.jsonl"
         rc = main(
             [
-                "profile", "--trace", str(trace_path), "--mode", "coreness",
-                "--telemetry", str(log),
+                "run", "--trace", str(trace_path), "--mode", "coreness",
+                "--phase-tree", "--telemetry", str(log),
             ]
         )
         assert rc == 0
@@ -105,6 +108,29 @@ class TestProfile:
         assert events
         names = {e["name"] for e in events}
         assert {"batch", "structure", "ladder.rung"} <= names
+
+    def test_every_sink_armed_keeps_bit_identity(self, trace_path, tmp_path, capsys):
+        log = tmp_path / "events.jsonl"
+        rc = main(
+            [
+                "run", "--trace", str(trace_path), "--mode", "both",
+                "--telemetry", str(log), "--progress", "1", "--phase-tree",
+                "--name", "all", "--bench-out", str(tmp_path), "--check",
+            ]
+        )
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "bit-identical" in captured.out
+        assert "phase-tree work" in captured.out
+        assert "[progress] batch 1/" in captured.err
+        assert read_jsonl(log)
+        assert (tmp_path / "BENCH_all.json").exists()
+
+    def test_profile_is_an_unknown_command(self, trace_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--trace", str(trace_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
 
 class TestRunFlags:
