@@ -115,17 +115,22 @@ def cmd_generate(args) -> int:
             f"max {info.max_live_edges} live edges, {info.vertices} vertices"
         )
         return 0
-    if args.pattern == "churn":
-        # churn synthesizes its own edges; no base family needed
-        ops = streams.churn(args.n, steps=args.steps, batch_size=args.batch_size, seed=args.seed)
-    else:
-        _n, edges = _make_edges(args)
-        if args.pattern == "insert-only":
-            ops = streams.insert_only(edges, args.batch_size)
-        elif args.pattern == "window":
-            ops = streams.sliding_window(edges, window=4, batch_size=args.batch_size)
-        else:  # insert-delete
-            ops = streams.insert_then_delete(edges, args.batch_size, seed=args.seed)
+    try:
+        if args.pattern == "churn":
+            # churn synthesizes its own edges; no base family needed
+            ops = streams.churn(
+                args.n, steps=args.steps, batch_size=args.batch_size, seed=args.seed
+            )
+        else:
+            _n, edges = _make_edges(args)
+            if args.pattern == "insert-only":
+                ops = streams.insert_only(edges, args.batch_size)
+            elif args.pattern == "window":
+                ops = streams.sliding_window(edges, window=4, batch_size=args.batch_size)
+            else:  # insert-delete
+                ops = streams.insert_then_delete(edges, args.batch_size, seed=args.seed)
+    except ParameterError as exc:
+        _usage(args, str(exc))
     validate_trace(ops)
     count = write_trace(ops, args.out)
     print(f"wrote {count} batches ({sum(op.size for op in ops)} edge updates) to {args.out}")
@@ -640,6 +645,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _port(text: str) -> int:
+    if not 0 <= int(text) <= 65535:
+        raise ValueError(f"must be a port in 0..65535, got {text}")
+    return int(text)
+
+
 def _kinds(text: str) -> list[str]:
     from .verify.differential import KINDS
 
@@ -681,10 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a batch-update trace file")
     g.add_argument("--family", default="er", choices=["er", "ba", "planted"])
-    g.add_argument("--n", type=int, default=60)
-    g.add_argument("--m", type=int, default=200)
-    g.add_argument("--steps", type=int, default=40)
-    g.add_argument("--batch-size", type=int, default=16)
+    g.add_argument("--n", type=_arg(_count), default=60)
+    g.add_argument("--m", type=_arg(_count), default=200)
+    g.add_argument("--steps", type=_arg(_count), default=40)
+    g.add_argument("--batch-size", type=_arg(_count), default=16)
     g.add_argument(
         "--pattern",
         default="insert-only",
@@ -723,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dump the metrics registry as Prometheus text")
     r.add_argument("--check", action="store_true",
                    help="replay disarmed too; exit 1 on any work/depth/counter drift")
-    r.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
+    r.add_argument("--serve-metrics", type=_arg(_port), default=None, metavar="PORT",
                    help="expose the metrics registry as Prometheus text on "
                         "http://127.0.0.1:PORT/metrics for the run "
                         "(PORT 0 = ephemeral; the bound URL is printed)")
@@ -790,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="durable state root (one subdirectory per tenant: "
                          "meta.json + wal.trace + checkpoint.json)")
     sv.add_argument("--host", default="127.0.0.1")
-    sv.add_argument("--port", type=int, default=0,
+    sv.add_argument("--port", type=_arg(_port), default=0,
                     help="TCP port (0 = ephemeral; the bound port is printed "
                          "on the ready line)")
     sv.add_argument("--shards", type=int, default=4,
@@ -805,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--sync", action="store_true",
                     help="fsync every WAL append before acking "
                          "(power-loss durability, slower ingest)")
-    sv.add_argument("--serve-metrics", type=int, default=None, metavar="PORT",
+    sv.add_argument("--serve-metrics", type=_arg(_port), default=None, metavar="PORT",
                     help="expose per-tenant service metrics as Prometheus "
                          "text (PORT 0 = ephemeral; the bound URL is printed)")
     sv.set_defaults(func=cmd_serve)

@@ -22,8 +22,8 @@ always refer to *vertices*, exactly as in the paper.
 out-degree.  While a token game runs, levels are frozen (the game's whole
 point) and ``len(out[v]) - level[v]`` equals the signed token surplus;
 settlement reconciles them.  Between batches ``level[v] == len(out[v])``
-for every vertex — ``check_invariants`` verifies this along with full
-index consistency.
+for every vertex — one of the invariants (DESIGN.md §5, I2) that
+``check_invariants`` and ``check_batch_arcs`` verify.
 
 **Cost accounting** matches the paper's lemma granularity: every arc
 mutation charges the Lemma 4.3/4.4 rate of ``O(H log n)`` work and depth
@@ -475,61 +475,39 @@ class BalancedOrientation:
     # ------------------------------------------------------------------ checking
 
     def check_invariants(self) -> None:
-        """Full structural verification (I1/I2 of DESIGN.md §5).
+        """The full audit: the between-batch invariants of DESIGN.md §5
+        (I2) over every vertex.
 
         Raises :class:`InvariantViolation` on the first inconsistency.
         O(m log n) time: the recovery manager runs it at checkpoint cadence
         and on every recovery path; between those, :meth:`check_batch`
-        audits only what the last batch could have changed.
+        audits only what the last batch could have changed.  Both run
+        :meth:`_check_vertex`; only the global checks here need a full
+        pass: no stray in-index entry, and as many filed entries and
+        ``tail_of`` keys as out-arcs.
         """
-        # levels match out-set sizes; H-balancedness on every arc
-        for v, outset in self.out.items():
-            if self.level.get(v, 0) != len(outset):
-                raise InvariantViolation(
-                    f"level[{v}] = {self.level.get(v, 0)} != |out| = {len(outset)}"
-                )
-        for v, lvl in self.level.items():
-            if lvl and v not in self.out:
-                raise InvariantViolation(
-                    f"level[{v}] = {lvl} but {v} has no out-set"
-                )
-        for v, outset in self.out.items():
-            lv = self.level.get(v, 0)
-            for head, copy in outset:
-                if not is_h_balanced_edge(lv, self.level.get(head, 0), self.H):
-                    raise InvariantViolation(
-                        f"arc ({v}->{head},{copy}): min(H,{lv}) > "
-                        f"min(H,{self.level.get(head, 0)}) + 1 (H={self.H})"
-                    )
-        # filing consistency: every arc filed exactly once, at its tail's level
+        if self.vertex_label:
+            raise InvariantViolation(f"leftover vertex labels: {self.vertex_label}")
         filed = 0
         for head, index in self.inx.items():
-            for (tail, copy), lev in index.entries():
-                arc = (tail, head, copy)
+            for (tail, copy), _lev in index.entries():
                 outset = self.out.get(tail)
                 if outset is None or (head, copy) not in outset:
-                    raise InvariantViolation(f"stray in-index entry {arc}")
-                expected = self._stored_lev(tail)
-                if lev != expected:
-                    raise InvariantViolation(
-                        f"arc {arc} filed at level {lev}, expected {expected}"
-                    )
+                    raise InvariantViolation(f"stray in-index entry {(tail, head, copy)}")
                 filed += 1
+        for v in self.level.keys() | self.out.keys():
+            self._check_vertex(v, arcs=True)
         total_arcs = sum(len(o) for o in self.out.values())
         if filed != total_arcs or filed != len(self.tail_of):
             raise InvariantViolation(
                 f"arc counts disagree: filed={filed}, out={total_arcs}, "
                 f"tail_of={len(self.tail_of)}"
             )
-        # orientation map consistency
         for (a, b, copy), tail in self.tail_of.items():
             head = b if tail == a else a
             outset = self.out.get(tail)
             if outset is None or (head, copy) not in outset:
                 raise InvariantViolation(f"tail_of says {tail}->{head} but arc missing")
-        # no leftover labels between batches
-        if self.vertex_label:
-            raise InvariantViolation(f"leftover vertex labels: {self.vertex_label}")
 
     def check_batch(self, kind: str, edges: Iterable[tuple[int, int]]) -> None:
         """Local verification after one simple-graph batch of ``kind``
@@ -538,18 +516,16 @@ class BalancedOrientation:
         self.check_batch_arcs(kind, [(u, v, 0) for u, v in edges])
 
     def check_batch_arcs(self, kind: str, arcs: Iterable[tuple[int, int, int]]) -> None:
-        """Check what the last batch could have changed (docs/PERFORMANCE.md §8).
+        """The local audit: the invariants of DESIGN.md §5 (I2) wherever
+        the last batch could have broken them (docs/PERFORMANCE.md §8).
 
         Let T be the endpoints of the journaled arcs and L the vertices of
-        T whose truncated level moved.  An arc's filing depends only on its
-        presence and its tail's truncated level, and its balance only on its
-        endpoints' truncated levels, so if every invariant held before the
+        T whose truncated level moved.  If every invariant held before the
         batch, these checks cover every place one can now fail:
 
-        * v in T: ``level[v] == |out[v]|``;
-        * v in L: filing and balance of all out-arcs, balance of all in-arcs;
-        * every journaled edge, in its current orientation: filing and
-          balance;
+        * v in T: :meth:`_check_vertex`, with its out-arcs if v is in L;
+        * v in L: balance of all in-arcs;
+        * every journaled edge, in its current orientation: :meth:`_check_arc`;
         * the batch's ``arcs`` present after an insert, absent after a delete;
         * no leftover vertex labels.
 
@@ -572,13 +548,7 @@ class BalancedOrientation:
             if levkey(level.get(v, 0), H) != lev
         }
         for v in self.journal_vertices() | relevelled:
-            outset = self.out.get(v)
-            size = len(outset) if outset is not None else 0
-            if level.get(v, 0) != size:
-                raise InvariantViolation(f"level[{v}] = {level.get(v, 0)} != |out| = {size}")
-            if outset is not None and v in relevelled:
-                for head, copy in outset:
-                    self._check_arc(v, head, copy)
+            self._check_vertex(v, arcs=v in relevelled)
         for v in relevelled:
             index = self.inx.get(v)
             if index is not None:
@@ -590,6 +560,17 @@ class BalancedOrientation:
                 tail = self.tail_of.get((a, b, copy))
                 if tail is not None:
                     self._check_arc(tail, b if tail == a else a, copy)
+
+    def _check_vertex(self, v: int, arcs: bool) -> None:
+        """``level[v] == |out[v]|``; with ``arcs``, :meth:`_check_arc` on
+        each out-arc of ``v``."""
+        outset = self.out.get(v)
+        size = len(outset) if outset is not None else 0
+        if self.level.get(v, 0) != size:
+            raise InvariantViolation(f"level[{v}] = {self.level.get(v, 0)} != |out| = {size}")
+        if arcs and outset is not None:
+            for head, copy in outset:
+                self._check_arc(v, head, copy)
 
     def _check_arc(self, tail: int, head: int, copy: int) -> None:
         """The arc is filed at its tail's truncated level, and balanced."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..config import DEFAULT_CONSTANTS, Constants, check_height
-from ..errors import ParameterError
+from ..errors import InvariantViolation, ParameterError
 from ..graphs.graph import norm_edge
 from ..instrument.work_depth import CostModel
 from .balanced import BalancedOrientation
@@ -124,4 +124,4 @@ class DuplicatedBalanced:
             per_edge[(a, b)] = per_edge.get((a, b), 0) + 1
         for e, count in per_edge.items():
             if count != self.K:
-                raise ParameterError(f"edge {e} has {count} copies, expected {self.K}")
+                raise InvariantViolation(f"edge {e} has {count} copies, expected {self.K}")

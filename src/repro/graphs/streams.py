@@ -89,6 +89,10 @@ def churn(
     of fresh random edges, otherwise a delete batch of currently live edges.
     Always valid; degenerates to insert when nothing is live.
     """
+    if n < 2 or batch_size < 1:
+        raise ParameterError(
+            f"churn needs n >= 2 and batch size >= 1, got {n}, {batch_size}"
+        )
     rng = coerce_rng(seed)
     live: set[Edge] = set()
     ops: list[BatchOp] = []

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..core.balanced import BalancedOrientation
-from ..verify.audits import AuditReport, audit_orientation
+from ..verify.audits import AuditReport, audit_invariants, audit_orientation
 from ..errors import BatchError, RecoveryError
 from ..graphs.graph import DynamicGraph, normalize_batch
 from ..graphs.streams import BatchOp, replay
@@ -141,29 +141,23 @@ class RecoveryManager:
         """Every structure's invariants hold (and an orientation's edge set
         matches the ground truth).
 
-        Without ``op`` this is the full O(m log n) audit.  With the batch
-        ``op`` just committed, only the region that batch could have
-        changed is checked (each structure's ``check_batch``; an
+        Without ``op`` this is the full O(m log n) audit, :meth:`audit`.
+        With the batch ``op`` just committed, only the region that batch
+        could have changed is checked (each structure's ``check_batch``; an
         orientation's size against the ground truth): O(batch) vertices
         and their arcs, assuming the state passed the previous audit.
         Neither form charges the cost model.
         """
-        edges = None if op is None else normalize_batch(op.edges)
+        if op is None:
+            return self.audit().ok
+        edges = normalize_batch(op.edges)
         for st in self.structures:
             try:
-                if edges is None:
-                    st.check_invariants()
-                else:
-                    st.check_batch(op.kind, edges)
+                st.check_batch(op.kind, edges)
             except Exception:
                 return False
-            if isinstance(st, BalancedOrientation):
-                if edges is None:
-                    ours = {(a, b) for (a, b, _copy) in st.tail_of}
-                    if ours != self.graph.edges:
-                        return False
-                elif len(st.tail_of) != len(self.graph.edges):
-                    return False
+            if isinstance(st, BalancedOrientation) and len(st.tail_of) != len(self.graph.edges):
+                return False
         return True
 
     def certify(self) -> str:
@@ -195,12 +189,7 @@ class RecoveryManager:
     def _audit_one(self, st: Any) -> AuditReport:
         if isinstance(st, BalancedOrientation):
             return audit_orientation(st, self.graph)
-        report = AuditReport(f"{type(st).__name__} invariants")
-        try:
-            st.check_invariants()
-        except Exception as exc:
-            report.add(str(exc))
-        return report
+        return audit_invariants(st, f"{type(st).__name__} invariants")
 
     # -- internals ----------------------------------------------------------------
 

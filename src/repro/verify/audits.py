@@ -3,9 +3,10 @@
 ``check_invariants()`` methods verify *internal* consistency; this module
 verifies structures against *external* ground truth:
 
+* :func:`audit_invariants` — any structure's ``check_invariants()``,
+  reported rather than raised;
 * :func:`audit_orientation` — a BALANCED(H) structure against the graph
-  it is supposed to orient (edge sets equal, orientation complete,
-  H-balanced, levels reconciled);
+  it is supposed to orient (its invariants hold, edge sets equal);
 * :func:`audit_coreness` — estimator output against exact peeling, with
   the Theorem 5.1/1.1 band scaled by configurable slack;
 * :func:`audit_density` — the density ladder against the exact flow
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..errors import InvariantViolation
 from ..graphs.streams import BatchOp
 
 #: How many example violations each finding embeds before summarising.
@@ -57,15 +57,23 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def audit_orientation(st, graph) -> AuditReport:
-    """BALANCED(H) vs the ground-truth graph."""
-    from ..core.levels import is_h_balanced_edge
-
-    report = AuditReport(f"BALANCED({st.H})")
+def audit_invariants(st, subject: str) -> AuditReport:
+    """A structure's ``check_invariants()`` as a report: any exception it
+    raises is one finding."""
+    report = AuditReport(subject)
     try:
         st.check_invariants()
-    except InvariantViolation as exc:
+    except Exception as exc:
         report.add(f"internal invariant broken: {exc}")
+    return report
+
+
+def audit_orientation(st, graph) -> AuditReport:
+    """BALANCED(H) vs the ground-truth graph: its ``check_invariants()``
+    (the between-batch invariants of DESIGN.md §5, which imply every arc is
+    H-balanced and the levels sum to the arc count) plus edge-set
+    equality with ``graph``."""
+    report = audit_invariants(st, f"BALANCED({st.H})")
     ours = {(a, b) for (a, b, _c) in st.tail_of}
     if ours != graph.edges:
         missing = graph.edges - ours
@@ -74,23 +82,6 @@ def audit_orientation(st, graph) -> AuditReport:
             report.add(f"{len(missing)} graph edges absent (e.g. {sorted(missing)[:SAMPLE_LIMIT]})")
         if extra:
             report.add(f"{len(extra)} phantom edges (e.g. {sorted(extra)[:SAMPLE_LIMIT]})")
-    unbalanced = 0
-    sample: list[tuple[int, int, int]] = []
-    for tail, head, copy in st.arcs():
-        if not is_h_balanced_edge(
-            st.level.get(tail, 0), st.level.get(head, 0), st.H
-        ):
-            unbalanced += 1
-            if len(sample) < SAMPLE_LIMIT:
-                sample.append((tail, head, copy))
-    if unbalanced:
-        examples = " ".join(f"({t}->{h},{c})" for t, h, c in sample)
-        report.add(f"{unbalanced} unbalanced arc(s) (e.g. {examples})")
-    total_level = sum(st.level.values())
-    if total_level != st.num_arcs():
-        report.add(
-            f"levels sum to {total_level}, arcs number {st.num_arcs()}"
-        )
     return report
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import core_numbers
 from repro.core import DuplicatedBalanced
-from repro.errors import ParameterError
+from repro.errors import InvariantViolation, ParameterError
 from repro.graphs import DynamicGraph, generators as gen
 
 
@@ -21,6 +21,14 @@ class TestBasics:
         d.delete_batch([(0, 1)])
         assert d.inner.num_arcs() == 3
         d.check_invariants()
+
+    def test_missing_copy_is_an_invariant_violation(self):
+        d = DuplicatedBalanced(inner_H=6, K=3)
+        d.insert_batch([(0, 1), (1, 2)])
+        d.inner.delete_multi_batch([(0, 1, 1)])
+        d.inner.check_invariants()  # the inner orientation itself is sound
+        with pytest.raises(InvariantViolation, match="has 2 copies, expected 3"):
+            d.check_invariants()
 
     def test_invalid_k(self):
         with pytest.raises(ParameterError):

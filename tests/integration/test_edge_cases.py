@@ -184,3 +184,53 @@ class TestCliErrorPaths:
         assert captured.out == ""
         errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and errors[0].startswith("repro run: error: ")
+
+    # parse-time rejection: the metrics server is never started
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--serve-metrics", "-1"]),
+        ("run", ["--serve-metrics", "65536"]),
+        ("serve", ["--serve-metrics", "-1"]),
+        ("serve", ["--serve-metrics", "65536"]),
+        ("serve", ["--port", "-1"]),
+    ], ids=["run-metrics-negative", "run-metrics-too-big", "serve-metrics-negative",
+            "serve-metrics-too-big", "serve-port-negative"])
+    def test_bad_port_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, flags):
+        import repro.cli
+        from repro.cli import main
+
+        monkeypatch.setattr(repro.cli, "_serve_metrics_or_die",
+                            lambda *a: pytest.fail("metrics server started"))
+        trace = tmp_path / "t.txt"
+        trace.write_text("I 0 1 1 2\n")
+        where = ["--trace", str(trace)] if command == "run" else ["--data-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *where, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].startswith(f"repro {command}: error: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "-5"],
+        ["--m", "-1"],
+        ["--steps", "-1", "--pattern", "churn"],
+        ["--batch-size", "0"],
+        ["--batch-size", "0", "--pattern", "churn"],
+        ["--n", "10", "--m", "100"],
+        ["--n", "0", "--pattern", "churn"],
+        ["--family", "planted", "--n", "3"],
+    ], ids=["n-negative", "m-negative", "steps-negative", "batch-size-0",
+            "churn-batch-size-0", "m-above-max", "churn-n-0", "planted-n-3"])
+    def test_bad_generate_value_is_a_usage_error(self, tmp_path, capsys, flags):
+        from repro.cli import main
+
+        out = tmp_path / "g.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].startswith("repro generate: error: ")
+        assert not out.exists()

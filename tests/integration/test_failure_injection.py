@@ -83,7 +83,8 @@ class TestCorruptionDetected:
 
 
 class TestLocalAuditCatchesFiling:
-    """``check_batch`` audits the level filing of what the batch touched."""
+    """``check_batch`` audits the level filing of what the batch touched;
+    ``check_invariants`` words the same fault the same way."""
 
     def touched_arc(self, st):
         """A journaled arc, in its current orientation, and its in-index."""
@@ -97,6 +98,8 @@ class TestLocalAuditCatchesFiling:
         index.move(tkey, lev, lev + 1)
         with pytest.raises(InvariantViolation, match="not filed at expected level"):
             st.check_batch("insert", [])
+        with pytest.raises(InvariantViolation, match="not filed at expected level"):
+            st.check_invariants()
 
     def test_touched_arc_missing(self):
         st = build()
@@ -104,6 +107,8 @@ class TestLocalAuditCatchesFiling:
         index.remove(tkey, lev)
         with pytest.raises(InvariantViolation, match="not filed at expected level"):
             st.check_batch("insert", [])
+        with pytest.raises(InvariantViolation, match="not filed at expected level"):
+            st.check_invariants()
 
     def test_relevelled_tail_left_at_its_old_level(self):
         # the fault a skipped _set_level move would leave: an out-arc the
@@ -136,6 +141,8 @@ class TestLocalAuditCatchesFiling:
         st.inx[head].move((v, copy), st._stored_lev(v), old)
         with pytest.raises(InvariantViolation, match="not filed at expected level"):
             st.check_batch(op.kind, op.edges)
+        with pytest.raises(InvariantViolation, match="not filed at expected level"):
+            st.check_invariants()
 
     def test_journaled_arc_of_a_tail_whose_level_held(self):
         # only the journal reaches this arc: its tail is not relevelled
@@ -157,6 +164,8 @@ class TestLocalAuditCatchesFiling:
         st.inx[head].move((tail, 0), lev, lev - 1)
         with pytest.raises(InvariantViolation, match="not filed at expected level"):
             st.check_batch("insert", [(u, v)])
+        with pytest.raises(InvariantViolation, match="not filed at expected level"):
+            st.check_invariants()
 
 
 class TestConvergenceGuards:
