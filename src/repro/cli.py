@@ -639,10 +639,22 @@ def _arg(check):
     return parse
 
 
-def _count(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError(f"must be >= 0, got {text}")
-    return int(text)
+def _at_least(low: int):
+    def check(text: str) -> int:
+        if int(text) < low:
+            raise ValueError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    return check
+
+
+_count, _positive = _at_least(0), _at_least(1)
+
+
+def _share(text: str) -> float:
+    if not 0.0 <= float(text) <= 1.0:  # also rejects nan
+        raise ValueError(f"must be a share in [0, 1], got {text}")
+    return float(text)
 
 
 def _port(text: str) -> int:
@@ -722,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--live", action="store_true",
                    help="stream a live status line (progress, throughput, "
                         "ETA, hottest spans) to stderr")
-    r.add_argument("--phase-tree", type=float, nargs="?", const=0.01,
+    r.add_argument("--phase-tree", type=_arg(_share), nargs="?", const=0.01,
                    metavar="MIN_SHARE",
                    help="print the phase tree, pruning rows below MIN_SHARE "
                         "of the work (default 0.01)")
@@ -804,12 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--port", type=_arg(_port), default=0,
                     help="TCP port (0 = ephemeral; the bound port is printed "
                          "on the ready line)")
-    sv.add_argument("--shards", type=int, default=4,
+    sv.add_argument("--shards", type=_arg(_positive), default=4,
                     help="parallel apply lanes; tenants map to lanes by "
                          "name hash")
-    sv.add_argument("--checkpoint-every", type=int, default=32, metavar="K",
+    sv.add_argument("--checkpoint-every", type=_arg(_positive), default=32, metavar="K",
                     help="full checkpoint every K committed batches per tenant")
-    sv.add_argument("--max-pending", type=int, default=256, metavar="N",
+    sv.add_argument("--max-pending", type=_arg(_positive), default=256, metavar="N",
                     help="per-lane bound on accepted-but-unapplied batches; "
                          "at the bound, ingest acks stall (backpressure) "
                          "instead of growing an unbounded apply backlog")

@@ -2,10 +2,11 @@
 
 The data structure of Section 4: every vertex keeps a ranked out-edge set
 (:class:`~repro.core.outset.OutSet`) and an incoming-edge index
-(:class:`~repro.core.inindex.InIndex`) keyed by the truncated level of the
-tail alone.  An arc's truncated rank is its position in the tail's out-set
-and its deletion-game label is its tail's vertex label, so neither is
-stored per arc: the in-index computes both at probe time.  Batch
+(:class:`~repro.core.inindex.InIndex`), one sorted slab of in-tails.  An
+arc's truncated rank is its position in the tail's out-set, its
+deletion-game label is its tail's vertex label, and its tail's truncated
+level is ``min(H, level[tail])``, so none of the three is stored per arc:
+the in-index reads them at probe time.  Batch
 insertions run the token-dropping game on token bundles (Section 4.2);
 batch deletions run the token-pushing game (Section 4.3).  Between
 batches the structure satisfies the H-balancedness invariant of
@@ -172,36 +173,21 @@ class BalancedOrientation:
         unit = (self.H + 2) * self._logn()
         self.cm.charge(work=unit, depth=unit)
 
-    def _refile(self, tail: int, lo: int, hi: int) -> None:
-        """Charge the paper's re-file of ``tail``'s arcs at positions
-        ``lo..hi`` (clamped) after a rank shift.
-
-        The positions re-file independently: O(span log n) work at one
-        O(log n) level of depth (a parallel scan over the window).  The
-        in-index computes truncated ranks at probe time, so nothing moves.
-        """
-        outset = self.out.get(tail)
-        if outset is None:
-            return
-        span = min(hi, len(outset)) - max(1, lo) + 1
-        if span > 0:
-            logn = self._logn()
-            self.cm.charge(work=span * logn, depth=logn)
-
-    def _stored_lev(self, tail: int) -> int:
-        return levkey(self.level.get(tail, 0), self.H)
-
     # -- arc mutations -----------------------------------------------------------
+    # A rank shift charges the paper's re-file of the shifted positions up to
+    # H + 1: O(span log n) work at O(log n) depth, as they re-file in parallel.
 
     def _arc_add(self, tail: int, head: int, copy: int) -> None:
         """Add arc (tail -> head, copy); does NOT touch levels."""
         outset = self._outset(tail)
-        outset.add((head, copy))
-        position = outset.rank((head, copy))
-        self._inx(head).add((tail, copy), self._stored_lev(tail))
-        # ranks of later arcs shifted up by one; the paper re-files the
-        # first H+1 positions.
-        self._refile(tail, position + 1, self.H + 1)
+        position = outset.add((head, copy))
+        self._inx(head).add((tail, copy))
+        # ranks of later arcs shifted up by one; the re-file charge reads
+        # _logn() before the setdefaults below can grow the vertex set
+        span = min(self.H + 1, len(outset)) - position
+        if span > 0:
+            logn = self._logn()
+            self.cm.charge(work=span * logn, depth=logn)
         a, b = norm_edge(tail, head)
         self.tail_of[(a, b, copy)] = tail
         self.level.setdefault(tail, 0)
@@ -210,14 +196,17 @@ class BalancedOrientation:
 
     def _arc_remove(self, tail: int, head: int, copy: int) -> None:
         """Remove arc (tail -> head, copy); does NOT touch levels."""
-        outset = self.out.get(tail)
-        arc = (tail, head, copy)
-        if outset is None or (head, copy) not in outset:
-            raise InvariantViolation(f"arc {arc} missing from out-set")
-        position = outset.rank((head, copy))
-        self.inx[head].remove((tail, copy), self._stored_lev(tail))
-        outset.remove((head, copy))
-        self._refile(tail, position, self.H + 1)
+        try:
+            outset = self.out[tail]
+            position = outset.remove((head, copy))
+        except (KeyError, AssertionError):
+            raise InvariantViolation(f"arc {(tail, head, copy)} missing from out-set") from None
+        self.inx[head].remove((tail, copy))
+        # ranks from the removed position on shifted down by one
+        span = min(self.H + 1, len(outset)) - position + 1
+        if span > 0:
+            logn = self._logn()
+            self.cm.charge(work=span * logn, depth=logn)
         a, b = norm_edge(tail, head)
         del self.tail_of[(a, b, copy)]
         self._charge_arc_op()
@@ -230,21 +219,18 @@ class BalancedOrientation:
         self.cm.count("reversals")
 
     def _set_level(self, v: int, new: int) -> None:
-        """Record a new out-degree for ``v`` and re-file its out-arcs'
-        level buckets if the truncated level changed."""
-        old = self.level.get(v, 0)
+        """Record a new out-degree for ``v``.
+
+        The in-index reads levels at probe time, so nothing moves; a change
+        of the truncated level is still charged at the rate of the paper's
+        re-file of ``v``'s out-arcs, and journaled in ``last_relevelled``.
+        """
         if new < 0:
             raise InvariantViolation(f"negative level for {v}")
+        old_lev = levkey(self.level.get(v, 0), self.H)
         self.level[v] = new
-        old_lev = levkey(old, self.H)
-        new_lev = levkey(new, self.H)
-        if old_lev != new_lev:
+        if old_lev != levkey(new, self.H):
             self.last_relevelled.setdefault(v, old_lev)
-            outset = self.out.get(v)
-            if outset is not None:
-                inx = self.inx
-                for head, copy in outset:  # moves touch the index, not the set
-                    inx[head].move((v, copy), old_lev, new_lev)
             self._charge_arc_op()
         else:
             self.cm.charge(work=1, depth=1)
@@ -401,10 +387,11 @@ class BalancedOrientation:
         )
         while pending:
             # edges whose endpoints are both saturated insert freely (§4.2.2)
+            level_get = self.level.get
             free = [
                 (u, v, c)
                 for (u, v, c) in pending
-                if min(self.outdegree(u), self.outdegree(v)) >= self.H
+                if min(level_get(u, 0), level_get(v, 0)) >= self.H
             ]
             if free:
                 free_keys = set(free)
@@ -413,9 +400,7 @@ class BalancedOrientation:
                         for u, v, c in free:
                             with region.branch():
                                 tail, head = (
-                                    (u, v)
-                                    if self.outdegree(u) <= self.outdegree(v)
-                                    else (v, u)
+                                    (u, v) if level_get(u, 0) <= level_get(v, 0) else (v, u)
                                 )
                                 self._arc_add(tail, head, c)
                                 self._set_level(tail, self.level.get(tail, 0) + 1)
@@ -490,7 +475,7 @@ class BalancedOrientation:
             raise InvariantViolation(f"leftover vertex labels: {self.vertex_label}")
         filed = 0
         for head, index in self.inx.items():
-            for (tail, copy), _lev in index.entries():
+            for tail, copy in index:
                 outset = self.out.get(tail)
                 if outset is None or (head, copy) not in outset:
                     raise InvariantViolation(f"stray in-index entry {(tail, head, copy)}")
@@ -552,7 +537,7 @@ class BalancedOrientation:
         for v in relevelled:
             index = self.inx.get(v)
             if index is not None:
-                for (tail, copy), _lev in index.entries():
+                for tail, copy in index:
                     self._check_balanced(tail, v, copy)
         for journal in (self.last_reversed, self.last_inserted, self.last_deleted):
             for u, v, copy in journal:
@@ -573,13 +558,10 @@ class BalancedOrientation:
                 self._check_arc(v, head, copy)
 
     def _check_arc(self, tail: int, head: int, copy: int) -> None:
-        """The arc is filed at its tail's truncated level, and balanced."""
-        lev = self._stored_lev(tail)
+        """The arc is filed in its head's in-index, and balanced."""
         index = self.inx.get(head)
-        if index is None or not index.has((tail, copy), lev):
-            raise InvariantViolation(
-                f"arc {(tail, head, copy)} not filed at expected level {lev}"
-            )
+        if index is None or (tail, copy) not in index:
+            raise InvariantViolation(f"arc {(tail, head, copy)} not filed in {head}'s in-index")
         self._check_balanced(tail, head, copy)
 
     def _check_balanced(self, tail: int, head: int, copy: int) -> None:

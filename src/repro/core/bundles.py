@@ -31,12 +31,13 @@ def extract_token_bundle(
     with _trace.span("bundles.extract", detail={"pending": len(pending)}):
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("bundles.extract", st)
+        level_get = st.level.get
         proposals: list[tuple[int, tuple[int, int, int]]] = []
         for u, v, c in pending:
-            du, dv = st.outdegree(u), st.outdegree(v)
+            du, dv = level_get(u, 0), level_get(v, 0)
             cand = u if (du, u) <= (dv, v) else v
             proposals.append((cand, (u, v, c)))
-            st.cm.tick()
+        st.cm.tick(len(pending))  # one sequential step per proposal
         proposals = parallel_sort(proposals, cm=st.cm)
         winners = arbitrary_winners(proposals, cm=st.cm)
         bundle: list[tuple[int, int, int]] = []

@@ -39,19 +39,23 @@ class OutSet:
         i = bisect_left(keys, w)
         return i < len(keys) and keys[i] == w
 
-    def add(self, w: Any) -> None:
+    def add(self, w: Any) -> int:
+        """Insert the edge to ``w``; returns its 1-indexed rank."""
         keys = self._keys
         i = bisect_left(keys, w)
         if i < len(keys) and keys[i] == w:
             raise AssertionError(f"out-edge to {w} already present")
         keys.insert(i, w)
+        return i + 1
 
-    def remove(self, w: Any) -> None:
+    def remove(self, w: Any) -> int:
+        """Delete the edge to ``w``; returns the rank it had."""
         keys = self._keys
         i = bisect_left(keys, w)
         if i >= len(keys) or keys[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
         del keys[i]
+        return i + 1
 
     def rank(self, w: Any) -> int:
         """1-indexed rank of the edge to ``w`` (must be present)."""

@@ -1,8 +1,8 @@
 """The token games (Sections 4.2.1 and 4.3.1).
 
 Friend-module of :class:`~repro.core.balanced.BalancedOrientation`: both
-games mutate the structure through its arc helpers, so every level
-re-filing happens in one audited code path.
+games mutate the structure through its arc and level helpers, so every
+charged re-file happens in one audited code path.
 
 Token-dropping (insertions)
 ---------------------------
@@ -167,8 +167,8 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
 
             with _trace.span("game.push.ranks"):
                 inx_get = st.inx.get
-                level_get = st.level.get
-                labels, out = st.vertex_label, st.out
+                labels, out, level = st.vertex_label, st.out, st.level
+                level_get = level.get
                 # Every rank round probes each vertex of S still holding its
                 # token, one charged BST probe per branch with no mutations
                 # inside the region: probes*logn work at logn depth, charged
@@ -184,7 +184,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                         index = inx_get(v)
                         if index is not None:
                             found = index.next_rank(
-                                i, r - 1, level_get(v, 0) + 1, labels, out, v, H
+                                i, r - 1, level_get(v, 0) + 1, labels, level, out, v, H
                             )
                             if found is not None:
                                 r = found
@@ -200,7 +200,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                         index = inx_get(v)
                         if index is None:
                             continue
-                        wkey = index.any_at(r, level_get(v, 0) + 1, labels, out, v, H)
+                        wkey = index.any_at(r, level_get(v, 0) + 1, labels, level, out, v, H)
                         if wkey is not None:
                             sends.append((v, wkey))
                     st.cm.charge(work=len(active) * logn, depth=logn)
@@ -243,7 +243,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     tindex = st.inx.get(v)
                     if tindex is None:
                         continue
-                    twkey = tindex.any_truncated(H, st.out, v, H)
+                    twkey = tindex.any_truncated(H, st.level, st.out, v, H)
                     if twkey is not None:
                         sends.append((v, twkey))
                 if probes:

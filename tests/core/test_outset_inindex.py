@@ -42,6 +42,19 @@ class TestOutSet:
         assert (7, 1) in s and (7, 0) not in s
 
 
+    def test_add_and_remove_return_the_rank(self):
+        rng = random.Random(7)
+        s = OutSet()
+        keys = [(rng.randrange(30), rng.randrange(2)) for _ in range(60)]
+        for key in keys:
+            if key not in s:
+                assert s.add(key) == s.rank(key)
+        for key in keys:
+            if key in s:
+                rank = s.rank(key)
+                assert s.remove(key) == rank
+
+
 HEAD = 100  # the vertex whose in-index the unit tests probe
 H = 8
 
@@ -62,105 +75,108 @@ class TestInIndex:
     def test_add_lookup(self):
         ix = InIndex()
         out = outsets({(3, 0): 1})
-        ix.add((3, 0), lev=4)
-        assert ix.any_at(1, 4, {}, out, HEAD, H) == (3, 0)
-        assert ix.any_at(1, 5, {}, out, HEAD, H) is None
-        assert ix.any_at(2, 4, {}, out, HEAD, H) is None
-        assert ix.any_at(1, 4, {3: 1}, out, HEAD, H) is None
+        ix.add((3, 0))
+        level = {3: 4}
+        assert ix.any_at(1, 4, {}, level, out, HEAD, H) == (3, 0)
+        assert ix.any_at(1, 5, {}, level, out, HEAD, H) is None
+        assert ix.any_at(2, 4, {}, level, out, HEAD, H) is None
+        assert ix.any_at(1, 4, {3: 1}, level, out, HEAD, H) is None
 
     def test_remove(self):
         ix = InIndex()
         out = outsets({(3, 0): 1})
-        ix.add((3, 0), 4)
-        ix.remove((3, 0), 4)
-        assert ix.any_at(1, 4, {}, out, HEAD, H) is None
+        ix.add((3, 0))
+        ix.remove((3, 0))
+        assert ix.any_at(1, 4, {}, {3: 4}, out, HEAD, H) is None
         assert len(ix) == 0
 
     def test_remove_wrong_slot_raises(self):
+        # another copy of the same tail is a different entry
         ix = InIndex()
-        ix.add((3, 0), 4)
+        ix.add((3, 0))
         with pytest.raises(AssertionError):
-            ix.remove((3, 0), 5)
+            ix.remove((3, 1))
 
     def test_double_add_raises(self):
         ix = InIndex()
-        ix.add((3, 0), 4)
+        ix.add((3, 0))
         with pytest.raises(AssertionError):
-            ix.add((3, 0), 4)
+            ix.add((3, 0))
 
-    def test_move(self):
+    def test_level_is_read_at_probe_time(self):
+        # a relevel of the tail moves nothing in the index
         ix = InIndex()
         out = outsets({(3, 0): 2})
-        ix.add((3, 0), 4)
-        ix.move((3, 0), 4, 5)
-        assert ix.any_at(2, 4, {}, out, HEAD, H) is None
-        assert ix.any_at(2, 5, {}, out, HEAD, H) == (3, 0)
-        with pytest.raises(AssertionError):
-            ix.move((3, 0), 4, 5)
-
-    def test_move_identity_is_noop(self):
-        ix = InIndex()
-        out = outsets({(3, 0): 1})
-        ix.add((3, 0), 4)
-        ix.move((3, 0), 4, 4)
-        assert ix.any_at(1, 4, {}, out, HEAD, H) == (3, 0)
+        ix.add((3, 0))
+        level = {3: 4}
+        assert ix.any_at(2, 4, {}, level, out, HEAD, H) == (3, 0)
+        level[3] = 5
+        assert ix.any_at(2, 4, {}, level, out, HEAD, H) is None
+        assert ix.any_at(2, 5, {}, level, out, HEAD, H) == (3, 0)
+        # levels are compared truncated at H
+        level[3] = H + 3
+        assert ix.any_at(2, H, {}, level, out, HEAD, H) == (3, 0)
+        assert len(ix) == 1
 
     def test_any_truncated_scans_labels(self):
         # arcs beyond rank H carry label 0, so labels are not consulted
         ix = InIndex()
         out = outsets({(2, 0): H, (3, 0): H + 1, (4, 0): H + 3})
         for tail in out:
-            ix.add((tail, 0), 5)
-        assert ix.any_truncated(5, out, HEAD, H) == (3, 0)
-        assert ix.any_truncated(4, out, HEAD, H) is None
-        ix.remove((3, 0), 5)
-        assert ix.any_truncated(5, out, HEAD, H) == (4, 0)
-        ix.remove((4, 0), 5)
-        assert ix.any_truncated(5, out, HEAD, H) is None
+            ix.add((tail, 0))
+        level = {w: 5 for w in out}
+        assert ix.any_truncated(5, level, out, HEAD, H) == (3, 0)
+        assert ix.any_truncated(4, level, out, HEAD, H) is None
+        ix.remove((3, 0))
+        assert ix.any_truncated(5, level, out, HEAD, H) == (4, 0)
+        ix.remove((4, 0))
+        assert ix.any_truncated(5, level, out, HEAD, H) is None
 
     def test_rank_is_read_at_probe_time(self):
         # a rank shift in the tail's out-set moves nothing in the index
         ix = InIndex()
         out = outsets({(3, 0): 1})
-        ix.add((3, 0), 4)
+        ix.add((3, 0))
+        level = {3: 4}
         out[3].add((HEAD - 1, 0))
-        assert ix.any_at(1, 4, {}, out, HEAD, H) is None
-        assert ix.any_at(2, 4, {}, out, HEAD, H) == (3, 0)
+        assert ix.any_at(1, 4, {}, level, out, HEAD, H) is None
+        assert ix.any_at(2, 4, {}, level, out, HEAD, H) == (3, 0)
         for filler in range(H):
             out[3].add((filler, 1))
-        assert ix.any_at(H + 1, 4, {}, out, HEAD, H) == (3, 0)
-        assert ix.any_truncated(4, out, HEAD, H) == (3, 0)
+        assert ix.any_at(H + 1, 4, {}, level, out, HEAD, H) == (3, 0)
+        assert ix.any_truncated(4, level, out, HEAD, H) == (3, 0)
 
     def test_entries_roundtrip(self):
         ix = InIndex()
-        data = [((1, 0), 2), ((2, 0), 4), ((2, 1), 4)]
-        for tail, lev in data:
-            ix.add(tail, lev)
-        assert sorted(ix.entries()) == sorted(data)
-        assert ix.has((2, 1), 4) and not ix.has((2, 1), 2)
+        data = [(2, 1), (1, 0), (2, 0)]
+        for tail in data:
+            ix.add(tail)
+        assert list(ix) == sorted(data)
+        assert (2, 1) in ix and (3, 1) not in ix
         assert len(ix) == 3
 
     def test_any_at_skips_labelled_minimum(self):
         ix = InIndex()
         out = outsets({(5, 1): 1, (2, 0): 1, (3, 0): 1})
         for tail in [(5, 1), (2, 0), (3, 0)]:
-            ix.add(tail, 4)
-        assert ix.any_at(1, 4, {}, out, HEAD, H) == (2, 0)
-        assert ix.any_at(1, 4, {2: 2}, out, HEAD, H) == (3, 0)
-        assert ix.any_at(1, 4, {2: 1, 3: 3}, out, HEAD, H) == (5, 1)
-        assert ix.any_at(1, 4, {2: 1, 3: 3, 5: 2}, out, HEAD, H) is None
+            ix.add(tail)
+        level = {w: 4 for w in out}
+        assert ix.any_at(1, 4, {}, level, out, HEAD, H) == (2, 0)
+        assert ix.any_at(1, 4, {2: 2}, level, out, HEAD, H) == (3, 0)
+        assert ix.any_at(1, 4, {2: 1, 3: 3}, level, out, HEAD, H) == (5, 1)
+        assert ix.any_at(1, 4, {2: 1, 3: 3, 5: 2}, level, out, HEAD, H) is None
 
     def test_next_rank(self):
         ix = InIndex()
         out = outsets({(7, 0): 2, (8, 0): 5, (9, 0): 3})
-        ix.add((7, 0), 4)
-        ix.add((8, 0), 4)
-        ix.add((9, 0), 5)
-        assert ix.next_rank(1, H, 4, {}, out, HEAD, H) == 2
-        assert ix.next_rank(1, H, 4, {7: 2}, out, HEAD, H) == 5
-        assert ix.next_rank(3, H, 4, {}, out, HEAD, H) == 5
-        assert ix.next_rank(1, 4, 4, {7: 2}, out, HEAD, H) is None
-        assert ix.next_rank(1, H, 6, {}, out, HEAD, H) is None
+        for tail in out:
+            ix.add((tail, 0))
+        level = {7: 4, 8: 4, 9: 5}
+        assert ix.next_rank(1, H, 4, {}, level, out, HEAD, H) == 2
+        assert ix.next_rank(1, H, 4, {7: 2}, level, out, HEAD, H) == 5
+        assert ix.next_rank(3, H, 4, {}, level, out, HEAD, H) == 5
+        assert ix.next_rank(1, 4, 4, {7: 2}, level, out, HEAD, H) is None
+        assert ix.next_rank(1, H, 6, {}, level, out, HEAD, H) is None
 
 
 class TestProbesMatchOutSets:
@@ -186,13 +202,15 @@ class TestProbesMatchOutSets:
                 free = [(t, tr) for t, tr in at if not labels.get(t[0])]
                 for tr in range(1, H + 2):
                     expected = min((t for t, r in free if r == tr), default=None)
-                    assert index.any_at(tr, lev, labels, st.out, head, H) == expected
+                    got = index.any_at(tr, lev, labels, st.level, st.out, head, H)
+                    assert got == expected
                 lo = rng.randint(1, H)
                 hi = rng.randint(lo, H + 1)
                 expected = min((r for _t, r in free if lo <= r <= hi), default=None)
-                assert index.next_rank(lo, hi, lev, labels, st.out, head, H) == expected
+                got = index.next_rank(lo, hi, lev, labels, st.level, st.out, head, H)
+                assert got == expected
                 expected = min((t for t, r in at if r > H), default=None)
-                assert index.any_truncated(lev, st.out, head, H) == expected
+                assert index.any_truncated(lev, st.level, st.out, head, H) == expected
 
     @pytest.mark.parametrize("H", [2, 4, 8])
     def test_random_streams(self, H):

@@ -171,7 +171,11 @@ class TestCliErrorPaths:
         ["--eps", "1"],
         ["--top", "-1", "--check"],
         ["--progress", "-1", "--check"],
-    ], ids=["eps-0", "eps-1", "top-negative", "progress-negative"])
+        ["--phase-tree", "2"],
+        ["--phase-tree", "nan"],
+        ["--phase-tree", "-1"],
+    ], ids=["eps-0", "eps-1", "top-negative", "progress-negative",
+            "phase-tree-above-1", "phase-tree-nan", "phase-tree-negative"])
     def test_bad_run_value_is_a_usage_error(self, tmp_path, capsys, flags):
         from repro.cli import main
 
@@ -184,6 +188,23 @@ class TestCliErrorPaths:
         assert captured.out == ""
         errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and errors[0].startswith("repro run: error: ")
+
+    # a zero here used to be clamped to 1 without a word
+    @pytest.mark.parametrize("flag", ["--shards", "--checkpoint-every", "--max-pending"])
+    def test_zero_serve_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        import repro.cli
+        from repro.cli import main
+
+        monkeypatch.setattr(repro.cli, "cmd_serve",
+                            lambda args: pytest.fail("service started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--data-dir", str(tmp_path), flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and errors[0].startswith("repro serve: error: ")
+        assert "must be >= 1" in errors[0]
 
     # parse-time rejection: the metrics server is never started
     @pytest.mark.parametrize("command,flags", [
