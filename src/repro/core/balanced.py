@@ -145,9 +145,9 @@ class BalancedOrientation:
 
         The single funnel through which guard rollback, checkpoint restore
         and ``bulk.from_graph`` (re)construct a structure from its logical
-        state.  Pre-seeding levels before the ``_arc_add`` loop makes every
-        arc file under its final level immediately, at O(m H log n) cost
-        (charged through ``_arc_add``).
+        state, at O(m H log n) cost (charged through ``_arc_add``).  Levels
+        are seeded before the ``_arc_add`` loop, so every tail already has
+        the ``level`` entry that ``_logn()`` counts and the probes index.
         """
         self.out = {}
         self.inx = {}
@@ -198,10 +198,10 @@ class BalancedOrientation:
         """Remove arc (tail -> head, copy); does NOT touch levels."""
         try:
             outset = self.out[tail]
+            self.inx[head].remove((tail, copy))  # in-index first: a miss there changes nothing
             position = outset.remove((head, copy))
         except (KeyError, AssertionError):
-            raise InvariantViolation(f"arc {(tail, head, copy)} missing from out-set") from None
-        self.inx[head].remove((tail, copy))
+            raise InvariantViolation(f"arc {(tail, head, copy)} not in out-set/in-index") from None
         # ranks from the removed position on shifted down by one
         span = min(self.H + 1, len(outset)) - position + 1
         if span > 0:

@@ -155,6 +155,17 @@ class TestMetricsServer:
         finally:
             server.close()
 
+    def test_other_methods_501(self):
+        server = MetricsServer(populated_registry())
+        try:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(
+                    urllib.request.Request(server.url, method="DELETE"), timeout=5
+                )
+            assert err.value.code == 501
+        finally:
+            server.close()
+
     def test_serves_live_registry_state(self):
         reg = MetricsRegistry()
         server = MetricsServer(reg)

@@ -11,7 +11,7 @@ from repro.core import (
     DuplicatedBalanced,
     LowOutDegree,
 )
-from repro.errors import BatchError, ParameterError
+from repro.errors import BatchError
 from repro.graphs import generators as gen
 
 
@@ -189,38 +189,28 @@ class TestCliErrorPaths:
         errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
         assert len(errors) == 1 and errors[0].startswith("repro run: error: ")
 
-    # a zero here used to be clamped to 1 without a word
-    @pytest.mark.parametrize("flag", ["--shards", "--checkpoint-every", "--max-pending"])
-    def test_zero_serve_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
-        import repro.cli
-        from repro.cli import main
-
-        monkeypatch.setattr(repro.cli, "cmd_serve",
-                            lambda args: pytest.fail("service started"))
-        with pytest.raises(SystemExit) as exc:
-            main(["serve", "--data-dir", str(tmp_path), flag, "0"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
-        assert len(errors) == 1 and errors[0].startswith("repro serve: error: ")
-        assert "must be >= 1" in errors[0]
-
-    # parse-time rejection: the metrics server is never started
+    # parse-time rejection: neither the metrics server nor the service is
+    # started (a zero count used to be clamped to 1 without a word)
     @pytest.mark.parametrize("command,flags", [
         ("run", ["--serve-metrics", "-1"]),
         ("run", ["--serve-metrics", "65536"]),
         ("serve", ["--serve-metrics", "-1"]),
         ("serve", ["--serve-metrics", "65536"]),
         ("serve", ["--port", "-1"]),
+        ("serve", ["--shards", "0"]),
+        ("serve", ["--checkpoint-every", "0"]),
+        ("serve", ["--max-pending", "0"]),
     ], ids=["run-metrics-negative", "run-metrics-too-big", "serve-metrics-negative",
-            "serve-metrics-too-big", "serve-port-negative"])
+            "serve-metrics-too-big", "serve-port-negative", "serve-shards-zero",
+            "serve-checkpoint-every-zero", "serve-max-pending-zero"])
     def test_bad_port_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command, flags):
         import repro.cli
         from repro.cli import main
 
         monkeypatch.setattr(repro.cli, "_serve_metrics_or_die",
                             lambda *a: pytest.fail("metrics server started"))
+        monkeypatch.setattr(repro.cli, "cmd_serve",
+                            lambda args: pytest.fail("service started"))
         trace = tmp_path / "t.txt"
         trace.write_text("I 0 1 1 2\n")
         where = ["--trace", str(trace)] if command == "run" else ["--data-dir", str(tmp_path)]

@@ -1,10 +1,12 @@
-"""Importing the library or the CLI loads neither numpy nor an HTTP server.
+"""Importing the library, the CLI or the metrics endpoint loads neither
+numpy nor ``http.server``.
 
 The paper's structures need sorted sets, hashing and sorting, so nothing
-on the import path is numeric, and the Prometheus endpoint
+on the import path is numeric; the Prometheus endpoint
 (``repro.instrument.live``) is imported only where ``--live`` or
-``--serve-metrics`` uses it.  Each check runs in a fresh interpreter: this
-process has long since imported numpy through hypothesis or scipy.
+``--serve-metrics`` uses it, and speaks HTTP over ``socketserver``.
+Each check runs in a fresh interpreter: this process has long since
+imported numpy through hypothesis or scipy.
 """
 
 import json
@@ -37,7 +39,7 @@ def _loaded_after(module: str) -> list[str]:
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("module", ["repro.core", "repro.cli"])
+@pytest.mark.parametrize("module", ["repro.core", "repro.cli", "repro.instrument.live"])
 def test_import_leaves_heavy_modules_out(module):
     assert _loaded_after(module) == []
 
