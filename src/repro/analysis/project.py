@@ -991,7 +991,7 @@ class ProjectContext:
         self.modules: dict[str, ModuleSummary] = {}
         for summary in summaries:
             self.modules[summary.module_name] = summary
-        self._capture_cache: dict[tuple[str, str], bool] = {}
+        self._capture_cache: dict[tuple[str, str], Optional[bool]] = {}
         self._run_fixpoints()
 
     # -- symbol resolution ---------------------------------------------------
@@ -1197,9 +1197,10 @@ class ProjectContext:
         key = (module, cls_name)
         if key in self._capture_cache:
             return self._capture_cache[key]
-        self._capture_cache[key] = False  # cycle guard
         result = self._capture_capable(module, cls_name, 0)
-        self._capture_cache[key] = result if result is not None else False
+        # an unresolvable class stays None on every later query too: a
+        # class defined outside the linted paths is unknown, not uncapturable
+        self._capture_cache[key] = result
         return result
 
     def _capture_capable(

@@ -43,6 +43,8 @@ from ..errors import BatchError, InvariantViolation
 from ..graphs.graph import Edge, norm_edge
 from ..instrument import trace as _trace
 from ..instrument.work_depth import CostModel
+from . import bundles as _bundles
+from . import tokens as _tokens
 from .inindex import InIndex
 from .levels import is_h_balanced_edge, levkey
 from .outset import OutSet
@@ -73,8 +75,7 @@ class BalancedOrientation:
         # undirected (min, max, copy) -> current tail
         self.tail_of: dict[tuple[int, int, int], int] = {}
         self._n_hint = max(2, n_hint)
-        self._logn_size = -1  # len(self.level) the cached _logn was computed at
-        self._logn_val = 1
+        self._refresh_logn()
         # change journal for Lemma 6.1's D_ins / D_del interfaces
         self.last_reversed: list[tuple[int, int, int]] = []  # (tail, head, copy) post-flip
         self.last_inserted: list[tuple[int, int, int]] = []
@@ -121,13 +122,6 @@ class BalancedOrientation:
 
     # ------------------------------------------------------------------ internals
 
-    def _outset(self, v: int) -> OutSet:
-        outset = self.out.get(v)
-        if outset is None:
-            outset = OutSet()
-            self.out[v] = outset
-        return outset
-
     def _inx(self, v: int) -> InIndex:
         index = self.inx.get(v)
         if index is None:
@@ -147,52 +141,50 @@ class BalancedOrientation:
         and ``bulk.from_graph`` (re)construct a structure from its logical
         state, at O(m H log n) cost (charged through ``_arc_add``).  Levels
         are seeded before the ``_arc_add`` loop, so every tail already has
-        the ``level`` entry that ``_logn()`` counts and the probes index.
+        the ``level`` entry that ``logn`` counts and the probes index.
         """
         self.out = {}
         self.inx = {}
         self.tail_of = {}
         self.level = dict(level)
         self.vertex_label = dict(vertex_label) if vertex_label else {}
+        self._refresh_logn()
         for (a, b, copy), tail in tail_of.items():
             self._arc_add(tail, b if tail == a else a, copy)
 
-    def _logn(self) -> int:
-        # cached on len(self.level): recomputing ceil(log2) per charge was
-        # measurable at game scale, and the value only moves when the
-        # vertex-universe size does.  Same formula, same values.
-        size = len(self.level)
-        if size != self._logn_size:
-            self._logn_size = size
-            n = max(self._n_hint, size)
-            self._logn_val = max(1, int(math.ceil(math.log2(n))))
-        return self._logn_val
-
-    def _charge_arc_op(self) -> None:
-        """The Lemma 4.3/4.4 per-edge rate: O(H log n) work and depth."""
-        unit = (self.H + 2) * self._logn()
-        self.cm.charge(work=unit, depth=unit)
+    def _refresh_logn(self) -> None:
+        """``logn``: ceil(log2 n) at n = max(n_hint, |level|), the [PP01]
+        per-element rate every arc and label charge reads.  It moves only
+        with the vertex set, so the places that add vertices (``_arc_add``,
+        ``_set_level``) or replace them (``_rebuild``) call this."""
+        self.logn = max(1, math.ceil(math.log2(max(self._n_hint, len(self.level)))))
 
     # -- arc mutations -----------------------------------------------------------
-    # A rank shift charges the paper's re-file of the shifted positions up to
-    # H + 1: O(span log n) work at O(log n) depth, as they re-file in parallel.
+    # Each charges the Lemma 4.3/4.4 per-edge rate, (H + 2) log n work and
+    # depth.  A rank shift also charges the paper's re-file of the shifted
+    # positions up to H + 1: O(span log n) work at O(log n) depth, as they
+    # re-file in parallel.  Both land in one charge call.
 
     def _arc_add(self, tail: int, head: int, copy: int) -> None:
         """Add arc (tail -> head, copy); does NOT touch levels."""
-        outset = self._outset(tail)
+        outset = self.out.get(tail)
+        if outset is None:
+            outset = self.out[tail] = OutSet()
         position = outset.add((head, copy))
         self._inx(head).add((tail, copy))
-        # ranks of later arcs shifted up by one; the re-file charge reads
-        # _logn() before the setdefaults below can grow the vertex set
-        span = min(self.H + 1, len(outset)) - position
-        if span > 0:
-            logn = self._logn()
-            self.cm.charge(work=span * logn, depth=logn)
-        a, b = norm_edge(tail, head)
-        self.tail_of[(a, b, copy)] = tail
-        self.level.setdefault(tail, 0)
-        self.level.setdefault(head, 0)
-        self._charge_arc_op()
+        # ranks of later arcs shifted up by one; the re-file is charged at
+        # the logn from before this arc's endpoints join the vertex set
+        H, logn = self.H, self.logn
+        span = min(H + 1, len(outset)) - position
+        work, depth = (span * logn, logn) if span > 0 else (0, 0)
+        self.tail_of[(tail, head, copy) if tail < head else (head, tail, copy)] = tail
+        level = self.level
+        if tail not in level or head not in level:
+            level.setdefault(tail, 0)
+            level.setdefault(head, 0)
+            self._refresh_logn()
+        unit = (H + 2) * self.logn
+        self.cm.charge(work=work + unit, depth=depth + unit)
 
     def _arc_remove(self, tail: int, head: int, copy: int) -> None:
         """Remove arc (tail -> head, copy); does NOT touch levels."""
@@ -203,13 +195,12 @@ class BalancedOrientation:
         except (KeyError, AssertionError):
             raise InvariantViolation(f"arc {(tail, head, copy)} not in out-set/in-index") from None
         # ranks from the removed position on shifted down by one
-        span = min(self.H + 1, len(outset)) - position + 1
-        if span > 0:
-            logn = self._logn()
-            self.cm.charge(work=span * logn, depth=logn)
-        a, b = norm_edge(tail, head)
-        del self.tail_of[(a, b, copy)]
-        self._charge_arc_op()
+        H, logn = self.H, self.logn
+        span = min(H + 1, len(outset)) - position + 1
+        work, depth = (span * logn, logn) if span > 0 else (0, 0)
+        del self.tail_of[(tail, head, copy) if tail < head else (head, tail, copy)]
+        unit = (H + 2) * logn
+        self.cm.charge(work=work + unit, depth=depth + unit)
 
     def _flip(self, tail: int, head: int, copy: int) -> None:
         """Reverse arc (tail -> head) to (head -> tail); levels untouched."""
@@ -227,11 +218,17 @@ class BalancedOrientation:
         """
         if new < 0:
             raise InvariantViolation(f"negative level for {v}")
-        old_lev = levkey(self.level.get(v, 0), self.H)
-        self.level[v] = new
-        if old_lev != levkey(new, self.H):
+        H, level = self.H, self.level
+        old = level.get(v)
+        level[v] = new
+        if old is None:
+            old = 0
+            self._refresh_logn()
+        old_lev = old if old < H else H
+        if old_lev != (new if new < H else H):
             self.last_relevelled.setdefault(v, old_lev)
-            self._charge_arc_op()
+            unit = (H + 2) * self.logn
+            self.cm.charge(work=unit, depth=unit)
         else:
             self.cm.charge(work=1, depth=1)
 
@@ -249,12 +246,13 @@ class BalancedOrientation:
             self.vertex_label[v] = label
         else:
             self.vertex_label.pop(v, None)
+        H, logn = self.H, self.logn
+        unit = (H + 1) * logn
         outset = self.out.get(v)
         if outset:
-            logn = self._logn()
-            self.cm.charge(work=min(self.H, len(outset)) * logn, depth=logn)
-        unit = (self.H + 1) * self._logn()
-        self.cm.charge(work=unit, depth=unit)
+            self.cm.charge(work=min(H, len(outset)) * logn + unit, depth=logn + unit)
+        else:
+            self.cm.charge(work=unit, depth=unit)
 
     # ------------------------------------------------------------------ batch API
 
@@ -372,13 +370,13 @@ class BalancedOrientation:
     # -- drivers (Sections 4.2.2 / 4.3.2); game logic lives in tokens.py --------
 
     def _insert_arcs(self, batch: list[tuple[int, int, int]]) -> None:
+        if _trace.ACTIVE is None:
+            self._insert_arcs_inner(batch)
+            return
         with _trace.span("balanced.insert", detail={"edges": len(batch)}):
             self._insert_arcs_inner(batch)
 
     def _insert_arcs_inner(self, batch: list[tuple[int, int, int]]) -> None:
-        from .bundles import extract_token_bundle
-        from .tokens import run_drop_game
-
         pending = list(batch)
         rounds = 0
         bound = (
@@ -413,19 +411,19 @@ class BalancedOrientation:
                 raise _convergence(
                     f"bundle extraction exceeded {bound} rounds (Lemma 4.15)"
                 )
-            bundle = extract_token_bundle(self, pending)
-            run_drop_game(self, bundle)
+            bundle = _bundles.extract_token_bundle(self, pending)
+            _tokens.run_drop_game(self, bundle)
             self.cm.count("insert_bundle_rounds")
         self.cm.count("insert_batches")
 
     def _delete_arcs(self, batch: list[tuple[int, int, int]]) -> None:
+        if _trace.ACTIVE is None:
+            self._delete_arcs_inner(batch)
+            return
         with _trace.span("balanced.delete", detail={"edges": len(batch)}):
             self._delete_arcs_inner(batch)
 
     def _delete_arcs_inner(self, batch: list[tuple[int, int, int]]) -> None:
-        from .bundles import partition_deletion_tokens
-        from .tokens import run_push_game
-
         # orient every doomed edge
         directed: dict[int, list[tuple[int, int]]] = {}
         for u, v, copy in batch:
@@ -452,8 +450,8 @@ class BalancedOrientation:
                             self.last_deleted.append((tail, head, copy))
                             tokens[tail] = tokens.get(tail, 0) + 1
 
-        for bundle in partition_deletion_tokens(tokens):
-            run_push_game(self, bundle)
+        for bundle in _bundles.partition_deletion_tokens(tokens):
+            _tokens.run_push_game(self, bundle)
             self.cm.count("delete_bundles")
         self.cm.count("delete_batches")
 

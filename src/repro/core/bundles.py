@@ -14,11 +14,15 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..instrument import trace as _trace
 from ..pram.primitives import arbitrary_winners
 from ..pram.sorting import parallel_sort
 from ..resilience import faults as _faults
-from .balanced import BalancedOrientation
+
+if TYPE_CHECKING:  # balanced.py imports this module
+    from .balanced import BalancedOrientation
 
 
 def extract_token_bundle(
@@ -28,37 +32,49 @@ def extract_token_bundle(
 
     Returns directed bundle arcs ``(tail, head, copy)``.
     """
+    if _trace.ACTIVE is None:
+        return _extract_token_bundle(st, pending)
     with _trace.span("bundles.extract", detail={"pending": len(pending)}):
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.fire("bundles.extract", st)
-        level_get = st.level.get
-        proposals: list[tuple[int, tuple[int, int, int]]] = []
-        for u, v, c in pending:
-            du, dv = level_get(u, 0), level_get(v, 0)
-            cand = u if (du, u) <= (dv, v) else v
-            proposals.append((cand, (u, v, c)))
-        st.cm.tick(len(pending))  # one sequential step per proposal
-        proposals = parallel_sort(proposals, cm=st.cm)
-        winners = arbitrary_winners(proposals, cm=st.cm)
-        bundle: list[tuple[int, int, int]] = []
-        taken: set[tuple[int, int, int]] = set()
-        for cand in sorted(winners):
-            u, v, c = winners[cand]
-            head = v if cand == u else u
-            bundle.append((cand, head, c))
-            taken.add((u, v, c))
-        pending[:] = [e for e in pending if e not in taken]
-        return bundle
+        return _extract_token_bundle(st, pending)
+
+
+def _extract_token_bundle(
+    st: BalancedOrientation, pending: list[tuple[int, int, int]]
+) -> list[tuple[int, int, int]]:
+    if _faults.ACTIVE is not None:
+        _faults.ACTIVE.fire("bundles.extract", st)
+    level_get = st.level.get
+    proposals: list[tuple[int, tuple[int, int, int]]] = []
+    for u, v, c in pending:
+        du, dv = level_get(u, 0), level_get(v, 0)
+        cand = u if (du, u) <= (dv, v) else v
+        proposals.append((cand, (u, v, c)))
+    st.cm.tick(len(pending))  # one sequential step per proposal
+    proposals = parallel_sort(proposals, cm=st.cm)
+    winners = arbitrary_winners(proposals, cm=st.cm)
+    bundle: list[tuple[int, int, int]] = []
+    taken: set[tuple[int, int, int]] = set()
+    for cand in sorted(winners):
+        u, v, c = winners[cand]
+        head = v if cand == u else u
+        bundle.append((cand, head, c))
+        taken.add((u, v, c))
+    pending[:] = [e for e in pending if e not in taken]
+    return bundle
 
 
 def partition_deletion_tokens(tokens: dict[int, int]) -> list[list[int]]:
     """Round-robin the token multiset into bundles of distinct vertices."""
+    if _trace.ACTIVE is None:
+        return _partition_deletion_tokens(tokens)
     with _trace.span("bundles.partition", detail={"tokens": len(tokens)}):
-        if _faults.ACTIVE is not None:
-            _faults.ACTIVE.fire("bundles.partition")
-        if not tokens:
-            return []
-        rounds = max(tokens.values())
-        return [
-            sorted(v for v, count in tokens.items() if count > j) for j in range(rounds)
-        ]
+        return _partition_deletion_tokens(tokens)
+
+
+def _partition_deletion_tokens(tokens: dict[int, int]) -> list[list[int]]:
+    if _faults.ACTIVE is not None:
+        _faults.ACTIVE.fire("bundles.partition")
+    if not tokens:
+        return []
+    rounds = max(tokens.values())
+    return [sorted(v for v, count in tokens.items() if count > j) for j in range(rounds)]

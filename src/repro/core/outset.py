@@ -20,50 +20,42 @@ substitution 2).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterator
+from typing import Any
 
 
-class OutSet:
-    """Ordered out-neighbour set of one vertex, on a contiguous slab."""
+class OutSet(list):
+    """Ordered out-neighbour set of one vertex, on a contiguous slab.
 
-    __slots__ = ("_keys",)
+    The slab is the list itself, so ``len``, truth tests and iteration
+    are the list's own C slots; only the ranked mutations and the
+    membership test (a binary search, not a scan) are Python methods.
+    """
 
-    def __init__(self) -> None:
-        self._keys: list[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._keys)
+    __slots__ = ()
 
     def __contains__(self, w: Any) -> bool:
-        keys = self._keys
-        i = bisect_left(keys, w)
-        return i < len(keys) and keys[i] == w
+        i = bisect_left(self, w)
+        return i < len(self) and self[i] == w
 
     def add(self, w: Any) -> int:
         """Insert the edge to ``w``; returns its 1-indexed rank."""
-        keys = self._keys
-        i = bisect_left(keys, w)
-        if i < len(keys) and keys[i] == w:
+        i = bisect_left(self, w)
+        if i < len(self) and self[i] == w:
             raise AssertionError(f"out-edge to {w} already present")
-        keys.insert(i, w)
+        self.insert(i, w)
         return i + 1
 
-    def remove(self, w: Any) -> int:
+    def remove(self, w: Any) -> int:  # type: ignore[override]
         """Delete the edge to ``w``; returns the rank it had."""
-        keys = self._keys
-        i = bisect_left(keys, w)
-        if i >= len(keys) or keys[i] != w:
+        i = bisect_left(self, w)
+        if i >= len(self) or self[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
-        del keys[i]
+        del self[i]
         return i + 1
 
     def rank(self, w: Any) -> int:
         """1-indexed rank of the edge to ``w`` (must be present)."""
-        keys = self._keys
-        i = bisect_left(keys, w)
-        if i >= len(keys) or keys[i] != w:
+        i = bisect_left(self, w)
+        if i >= len(self) or self[i] != w:
             raise AssertionError(f"out-edge to {w} absent")
         return i + 1
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._keys)

@@ -34,19 +34,24 @@ token count from its level.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ConvergenceError
 from ..instrument import trace as _trace
 from ..pram.primitives import arbitrary_winners
 from ..pram.sorting import parallel_sort
 from ..resilience import faults as _faults
-from .balanced import BalancedOrientation
+
+if TYPE_CHECKING:  # balanced.py imports this module
+    from .balanced import BalancedOrientation
 
 
 def run_drop_game(st: BalancedOrientation, bundle: list[tuple[int, int, int]]) -> None:
     """Insert one token bundle (Definition 4.6) and settle it."""
     if not bundle:
+        return
+    if _trace.ACTIVE is None:
+        _run_drop_game(st, bundle)
         return
     with _trace.span("game.drop", detail={"tokens": len(bundle)}):
         _run_drop_game(st, bundle)
@@ -130,6 +135,9 @@ def run_push_game(st: BalancedOrientation, bundle: Iterable[int]) -> None:
     token: set[int] = set(bundle)
     if not token:
         return
+    if _trace.ACTIVE is None:
+        _run_push_game(st, token)
+        return
     with _trace.span("game.push", detail={"tokens": len(token)}):
         _run_push_game(st, token)
 
@@ -188,7 +196,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                             )
                             if found is not None:
                                 r = found
-                    logn = st._logn()
+                    logn = st.logn
                     if r > i:
                         st.cm.charge(
                             work=(r - i) * len(active) * logn, depth=(r - i) * logn
@@ -247,7 +255,7 @@ def _run_push_game(st: BalancedOrientation, token: set[int]) -> None:
                     if twkey is not None:
                         sends.append((v, twkey))
                 if probes:
-                    logn = st._logn()
+                    logn = st.logn
                     st.cm.charge(work=probes * logn, depth=logn)
                 for v, (w, copy) in sorted(sends):
                     st._flip(w, v, copy)

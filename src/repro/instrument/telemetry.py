@@ -125,12 +125,12 @@ class _Span:
         tracer = self.tracer
         wall = tracer.clock() - self.t0
         frame, work1, depth1 = tracer.cm.frame_probe()
-        if frame is self.frame:
+        if frame == self.frame:
             work, depth = work1 - self.work0, depth1 - self.depth0
         else:
-            # a non-nested exit (should be unreachable through the library's
-            # own `finally`-folded regions) — attribute nothing, but record
-            # that attribution lost data rather than corrupting the tree.
+            # the span straddled a region or branch boundary (unreachable
+            # through well-nested `with` blocks) — attribute nothing, but
+            # record that attribution lost data rather than corrupting the tree.
             work = depth = 0
             tracer.frame_mismatches += 1
         popped = tracer._stack.pop()

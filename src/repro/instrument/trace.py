@@ -1,9 +1,15 @@
 """The thin span API — the telemetry layer's hot-path entry point.
 
-Mirrors the design of :mod:`repro.resilience.faults`: while no tracer is
-armed, every instrumented site costs one module-global read (``ACTIVE is
-None``) plus a call returning the shared :data:`NULL` span — no
-allocation, no cost-model interaction.  Arming a
+Mirrors the design of :mod:`repro.resilience.faults`.  While no tracer
+is armed, a ``with span(...):`` site costs three Python calls and no
+allocation: :func:`span` reads ``ACTIVE``, returns the shared :data:`NULL`
+span, and the ``with`` enters and exits it.  The per-phase spans of the
+token games pay that, because the committed phase trees pin their form.
+The function-level spans (``game.drop``, ``game.push``,
+``balanced.insert``, ``balanced.delete``, ``bundles.extract``,
+``bundles.partition``) test ``ACTIVE is None`` at the call site first, so
+disarmed they cost that one global read and build no ``detail`` dict.
+Neither form touches the cost model.  Arming a
 :class:`~repro.instrument.telemetry.Tracer` (via :func:`tracing`) turns
 the same sites into nestable spans that snapshot the cost model's
 innermost frame on entry/exit and attribute the work/depth delta to a
@@ -81,7 +87,8 @@ class NullSpan:
 #: The shared no-op span returned by :func:`span` while disarmed.
 NULL = NullSpan()
 
-#: The armed tracer, or None.  Hot paths pay exactly this global read.
+#: The armed tracer, or None.  A site that tests it before calling
+#: :func:`span` pays only this global read while disarmed.
 ACTIVE: Optional[Any] = None
 
 

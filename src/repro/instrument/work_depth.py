@@ -30,13 +30,20 @@ parallel sweep over vertices (depth maxes) is expressed naturally::
 Every structure also bumps named :attr:`counters` (phases, flips, proposals,
 bundle rounds, ...) which the benchmarks report against the paper's lemma
 bounds.
+
+The accounting always runs; arming telemetry only reads it.  What it costs
+on its own: ``tick``/``charge`` is one Python call adding to two ints; a
+region allocates two small objects (its scope and its handle) and makes
+five calls (``parallel()``, two constructors, enter, exit); a branch
+makes three calls (``branch()``, enter, exit) and allocates nothing.
+:class:`NullCostModel` drops the adds, not the region calls.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -53,44 +60,27 @@ class Snapshot:
         return Snapshot(self.work - other.work, self.depth - other.depth)
 
 
-class _Frame:
-    """One accounting frame: a plain sequential context."""
+class CostModel:
+    """Work/depth accumulator with nested parallel regions.
 
-    __slots__ = ("work", "depth")
+    ``work`` and ``depth`` are two plain ints that :meth:`tick` and
+    :meth:`charge` add to directly; a :class:`ParallelRegion` folds the
+    depth of its branches (DESIGN.md §6).
+    """
 
     def __init__(self) -> None:
         self.work = 0
         self.depth = 0
-
-
-class _ParallelFrame:
-    """Accumulates branches: work sums, depth maxes."""
-
-    __slots__ = ("work_sum", "depth_max")
-
-    def __init__(self) -> None:
-        self.work_sum = 0
-        self.depth_max = 0
-
-
-class CostModel:
-    """Work/depth accumulator with nested parallel regions.
-
-    The model is deliberately tiny and allocation-light: the token games call
-    :meth:`tick` millions of times in the larger benchmarks.
-    """
-
-    def __init__(self) -> None:
-        self._stack: list[_Frame] = [_Frame()]
         self.counters: dict[str, int] = {}
+        # innermost open region; None between operations
+        self._region: Optional[ParallelRegion] = None
 
     # -- primitive charges -------------------------------------------------
 
     def tick(self, w: int = 1) -> None:
         """``w`` sequential primitive operations."""
-        top = self._stack[-1]
-        top.work += w
-        top.depth += w
+        self.work += w
+        self.depth += w
 
     def charge(self, work: int = 0, depth: int = 0) -> None:
         """An analytic charge: ``work`` units of work, ``depth`` of depth.
@@ -99,9 +89,8 @@ class CostModel:
         paper charges it (e.g. Lemma 4.3: reversing ``k`` edges costs
         ``O(k H log n)`` work and ``O(H log n)`` depth).
         """
-        top = self._stack[-1]
-        top.work += work
-        top.depth += depth
+        self.work += work
+        self.depth += depth
 
     def count(self, name: str, inc: int = 1) -> None:
         """Bump a named event counter (phases, flips, proposals, ...)."""
@@ -109,20 +98,14 @@ class CostModel:
 
     # -- parallel structure ------------------------------------------------
 
-    def parallel(self) -> "_ParallelCtx":
+    def parallel(self) -> _RegionScope:
         """Open a parallel region; close it to fold branches into the parent.
 
         Work of the region = sum of branch works; depth = max of branch
         depths.  Ticks issued directly inside the region (outside any
         branch) are treated as sequential region overhead.
-
-        Returns a plain-class context manager (not a ``@contextmanager``
-        generator): the token games open millions of regions/branches per
-        run and the generator protocol's two ``next()`` trampolines per
-        ``with`` block dominated their wall-clock.  The accounting fold is
-        unchanged.
         """
-        return _ParallelCtx(self)
+        return _RegionScope(ParallelRegion(self))
 
     def pfor(self, items: Iterable[T], fn: Callable[[T], U]) -> list[U]:
         """Apply ``fn`` to every item as parallel branches; return results.
@@ -141,35 +124,28 @@ class CostModel:
 
     # -- reading results ---------------------------------------------------
 
-    @property
-    def work(self) -> int:
-        return self._stack[0].work
-
-    @property
-    def depth(self) -> int:
-        return self._stack[0].depth
-
     def frame_probe(self) -> tuple[object, int, int]:
-        """Identity and running (work, depth) of the innermost open frame.
+        """Identity of the innermost open frame, and running (work, depth).
 
         The telemetry layer's read-only hook: a span records the probe on
-        entry and subtracts it from a probe on exit.  Because parallel
-        regions and branches fold into their parent frame in ``finally``
-        blocks, a well-nested span sees the *same* frame object at both
-        ends — even when the traced block opened (and fully closed)
-        parallel regions, and even when it unwound through an exception —
-        so the delta is exactly the work/depth enclosed by the span.
+        entry and subtracts it from a probe on exit.  A frame is the root,
+        one branch of a region, or a region's overhead between branches;
+        a span that opens and closes in the same frame encloses exactly
+        the work/depth of its block, even when the block opened (and fully
+        closed) parallel regions or unwound through an exception.  A span
+        that straddles a frame boundary sees two different identities.
         """
-        top = self._stack[-1]
-        return top, top.work, top.depth
+        region = self._region
+        frame = None if region is None else (region, region._frames)
+        return frame, self.work, self.depth
 
     def snapshot(self) -> Snapshot:
-        """Current totals at the *root* frame.
+        """Current totals.
 
         Only meaningful between operations (i.e. when no parallel region is
         open); the structures take snapshots at batch boundaries.
         """
-        if len(self._stack) != 1:
+        if self._region is not None:
             raise RuntimeError("snapshot() inside an open parallel region")
         return Snapshot(self.work, self.depth)
 
@@ -185,73 +161,72 @@ class CostModel:
         delta.depth = diff.depth
 
     def reset(self) -> None:
-        self._stack = [_Frame()]
+        self.work = 0
+        self.depth = 0
         self.counters = {}
+        self._region = None
 
 
-class _ParallelCtx:
-    """``with cm.parallel() as region`` — enter pushes the overhead frame,
-    exit folds branch sums/maxes into the parent (exception-safe, same as
-    the former ``finally`` block)."""
+class _RegionScope:
+    """``with cm.parallel() as region`` — entering opens the region and
+    yields its handle; leaving adds the region's deepest branch to the
+    running depth and reopens the enclosing frame (on the exception path
+    too)."""
 
-    __slots__ = ("_cm", "_region", "_overhead")
+    __slots__ = ("_region",)
 
-    def __init__(self, cm: CostModel) -> None:
-        self._cm = cm
+    def __init__(self, region: "ParallelRegion") -> None:
+        self._region = region
 
     def __enter__(self) -> "ParallelRegion":
-        self._region = region = ParallelRegion(self._cm)
-        self._overhead = overhead = _Frame()
-        self._cm._stack.append(overhead)
+        region = self._region
+        cm = region._cm
+        region._outer = cm._region
+        cm._region = region
         return region
 
     def __exit__(self, *exc: object) -> bool:
-        stack = self._cm._stack
-        stack.pop()
-        parent = stack[-1]
-        pf = self._region._pf
-        overhead = self._overhead
-        parent.work += overhead.work + pf.work_sum
-        parent.depth += overhead.depth + pf.depth_max
+        region = self._region
+        cm = region._cm
+        cm.depth += region._deepest
+        cm._region = region._outer
         return False
 
 
 class ParallelRegion:
-    """Handle yielded by :meth:`CostModel.parallel`."""
+    """Handle yielded by :meth:`CostModel.parallel`, and the context of
+    each of its branches.
 
-    __slots__ = ("_cm", "_pf")
+    A branch allocates nothing: entering saves the running depth in
+    ``_start``; leaving keeps the branch's own depth in ``_deepest`` if
+    it is the deepest so far and restores the saved depth, so the next
+    branch starts where this one did.  A branch that raises is folded
+    the same way.  ``_frames`` counts branch entries and exits; with the
+    region it names the frame :meth:`CostModel.frame_probe` reports.
+    """
+
+    __slots__ = ("_cm", "_outer", "_start", "_deepest", "_frames")
 
     def __init__(self, cm: CostModel) -> None:
         self._cm = cm
-        self._pf = _ParallelFrame()
+        self._deepest = 0
+        self._frames = 0
 
-    def branch(self) -> "_Branch":
+    def branch(self) -> "ParallelRegion":
         """One parallel branch; its work sums, its depth maxes."""
-        return _Branch(self)
-
-
-class _Branch:
-    """One ``with region.branch():`` block — a fresh frame on the stack,
-    folded into the region's (sum, max) accumulators on exit."""
-
-    __slots__ = ("_region", "_frame")
-
-    def __init__(self, region: ParallelRegion) -> None:
-        self._region = region
+        return self
 
     def __enter__(self) -> None:
-        self._frame = frame = _Frame()
-        self._region._cm._stack.append(frame)
-        return None
+        self._start = self._cm.depth
+        self._frames += 1
 
     def __exit__(self, *exc: object) -> bool:
-        region = self._region
-        region._cm._stack.pop()
-        frame = self._frame
-        pf = region._pf
-        pf.work_sum += frame.work
-        if frame.depth > pf.depth_max:
-            pf.depth_max = frame.depth
+        cm = self._cm
+        start = self._start
+        if cm.depth - start > self._deepest:
+            self._deepest = cm.depth - start
+        cm.depth = start
+        self._frames += 1
         return False
 
 

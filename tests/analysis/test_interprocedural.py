@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import lint_source
+from repro.analysis import lint_paths, lint_source
 
 
 def _rules(source: str, select=None, **kwargs) -> set[str]:
@@ -162,6 +162,30 @@ class TestExceptionSafety:
             """,
             select=["REP-X"],
         )
+
+    def test_class_from_outside_the_linted_paths_is_unresolved(self, tmp_path):
+        # linted on its own, the file cannot see BalancedOrientation's
+        # source: both regions are unresolved, so neither is a finding
+        path = tmp_path / "test_guarded_alone.py"
+        path.write_text(textwrap.dedent(
+            """
+            '''Fixture.'''
+
+            from repro.core import BalancedOrientation
+            from repro.resilience import guarded
+
+
+            def test_two_regions():
+                '''Doc.'''
+                st = BalancedOrientation(H=3)
+                with guarded(st):
+                    st.insert_batch([(0, 1)])
+                with guarded(st):
+                    st.delete_batch([(0, 1)])
+            """
+        ))
+        report = lint_paths([str(path)], select=["REP-X"])
+        assert [f.rule for f in report.findings] == []
 
     def test_alien_param_write_in_region_is_caught(self):
         assert "REP-X001" in _rules(

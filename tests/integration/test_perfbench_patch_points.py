@@ -34,3 +34,23 @@ def test_layer_tracer_installs_on_current_tree():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_token_game_wrappers_see_every_game(monkeypatch):
+    # perfbench wraps the games on the tokens module, so balanced.py must
+    # look them up there at call time, not bind them once at import
+    from repro.core import BalancedOrientation, tokens
+
+    calls = []
+    for name in ("run_drop_game", "run_push_game"):
+        game = getattr(tokens, name)
+
+        def wrapped(*args, _game=game, _name=name):
+            calls.append(_name)
+            return _game(*args)
+
+        monkeypatch.setattr(tokens, name, wrapped)
+    st = BalancedOrientation(H=2)
+    st.insert_batch([(0, 1), (0, 2), (1, 2)])
+    st.delete_batch([(0, 1), (0, 2)])
+    assert set(calls) == {"run_drop_game", "run_push_game"}
