@@ -223,8 +223,9 @@ class ParallelRegion:
     def __exit__(self, *exc: object) -> bool:
         cm = self._cm
         start = self._start
-        if cm.depth - start > self._deepest:
-            self._deepest = cm.depth - start
+        depth = cm.depth - start
+        if depth > self._deepest:
+            self._deepest = depth
         cm.depth = start
         self._frames += 1
         return False
